@@ -232,16 +232,11 @@ def _as_rational_part(f):
     if isinstance(f, RationalFn):
         return f
     # scalar Symbol with nonnegative support
-    sup = f.support()
     if f.n != 1:
         raise ValueError("coanalytic_decompose takes scalar data")
-    if sup and sup[0] < 0:
+    if f.lo < 0:
         raise ValueError("analytic representative must have support >= 0")
-    deg = sup[-1] if sup else 0
-    c = np.zeros(deg + 1, dtype=complex)
-    for j in sup:
-        c[j] = f.scalar_coeff(j)
-    return RationalFn(c)
+    return RationalFn(f.coeffs(0, f.hi)[:, 0, 0])
 
 
 def coprime_matrix_check(B, theta: BlaschkeProduct, cutoff=COPRIME_CUTOFF):
@@ -269,17 +264,10 @@ def _matrix_evaluator(B):
     if callable(B) and not hasattr(B, "eval_circle") and not isinstance(B, list):
         return B
     if hasattr(B, "eval_circle"):  # Symbol
-        sup = B.support()
-        if sup and sup[0] < 0:
+        if B.lo < 0:
             raise ValueError("coprime check needs an analytic matrix function")
-
-        def ev(a):
-            out = np.zeros((B.n, B.n), dtype=complex)
-            for j in sup:
-                out += B.coeff(j) * a ** j
-            return out
-
-        return ev
+        C = B.coeffs(0, B.hi)
+        return lambda a: np.tensordot(a ** np.arange(len(C)), C, axes=1)
     if isinstance(B, list):  # grid of RationalFn
         n = len(B)
 

@@ -406,13 +406,14 @@ def main(argv=None):
         return int(e.code or 0)
     try:
         return args.func(args)
+    except (ArithmeticError, np.linalg.LinAlgError) as e:
+        # quadrature, doubling or a solver failed: undecided, not an input error
+        # (LinAlgError subclasses ValueError, so it must be caught first)
+        print(f"undecided: {e}", file=sys.stderr)
+        return EXIT_UNDECIDED
     except (ExprError, FileNotFoundError, json.JSONDecodeError, ValueError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return EXIT_INPUT
-    except ArithmeticError as e:
-        # quadrature or doubling failed to converge: undecided, not an input error
-        print(f"undecided: {e}", file=sys.stderr)
-        return EXIT_UNDECIDED
 
 
 if __name__ == "__main__":

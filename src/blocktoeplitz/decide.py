@@ -175,11 +175,8 @@ def verify_in_C(phi, K, tol=MEMBERSHIP_TOL):
     S = phi if isinstance(phi, Symbol) else phi.to_symbol()
     Ksym = K if isinstance(K, Symbol) else K.to_symbol()
     diff = S - Ksym * S.star()
-    worst = 0.0
-    for j in diff.support():
-        if j < 0:
-            worst = max(worst, float(np.max(np.abs(diff.coeff(j)))))
-    return worst <= tol
+    neg = diff.coeffs(diff.lo, -1)
+    return not neg.size or float(np.max(np.abs(neg))) <= tol
 
 
 def _interpolation_data(fact: HypoFactorization):
@@ -330,46 +327,33 @@ def classify_normal_or_analytic(phi, square_window=None) -> Verdict:
 # -- completion problems -------------------------------------------------------
 
 
-def _scalar_coeffs(phi: Symbol):
-    return {j: phi.scalar_coeff(j) for j in phi.support()}
-
-
 def _unimodular_ratio(psi: Symbol, phi: Symbol, tol):
     """u with psi = u*phi, |u| = 1, or None."""
-    sup = sorted(set(phi.support()) | set(psi.support()))
-    u = None
-    for j in sup:
-        a = phi.scalar_coeff(j)
-        b = psi.scalar_coeff(j)
-        if abs(a) <= tol and abs(b) <= tol:
-            continue
-        if abs(a) <= tol or abs(b) <= tol:
-            return None
-        r = b / a
-        if u is None:
-            u = r
-        elif abs(r - u) > 10 * tol:
-            return None
-    if u is None:
-        u = 1.0 + 0.0j
-    if abs(abs(u) - 1.0) > 10 * tol:
+    lo, hi = min(phi.lo, psi.lo), max(phi.hi, psi.hi)
+    a, b = phi.coeffs(lo, hi)[:, 0, 0], psi.coeffs(lo, hi)[:, 0, 0]
+    big_a, big_b = np.abs(a) > tol, np.abs(b) > tol
+    if np.any(big_a != big_b):
+        return None
+    r = b[big_a] / a[big_a]
+    u = r[0] if len(r) else 1.0 + 0.0j
+    if np.any(np.abs(r - u) > 10 * tol) or abs(abs(u) - 1.0) > 10 * tol:
         return None
     return u
 
 
+def _corner_symbol(phi: Symbol, psi: Symbol, d00, d11) -> Symbol:
+    """2x2 symbol [[z^d00, phi], [psi, z^d11]] from scalar phi and psi."""
+    lo, hi = min(phi.lo, psi.lo, d00, d11), max(phi.hi, psi.hi, d00, d11)
+    c = np.zeros((hi - lo + 1, 2, 2), dtype=complex)
+    c[:, 0, 1] = phi.coeffs(lo, hi)[:, 0, 0]
+    c[:, 1, 0] = psi.coeffs(lo, hi)[:, 0, 0]
+    c[d00 - lo, 0, 0] = c[d11 - lo, 1, 1] = 1.0
+    return Symbol.from_coeffs(lo, c)
+
+
 def double_conjugate_shift_symbol(phi: Symbol, psi: Symbol) -> Symbol:
     """2x2 symbol [[zbar, phi],[psi, zbar]] of the completion candidate."""
-    out = Symbol(2)
-    degs = set(phi.support()) | set(psi.support()) | {-1}
-    for j in degs:
-        A = np.zeros((2, 2), dtype=complex)
-        if j == -1:
-            A[0, 0] = 1.0
-            A[1, 1] = 1.0
-        A[0, 1] = phi.scalar_coeff(j)
-        A[1, 0] = psi.scalar_coeff(j)
-        out = out + Symbol(2, {j: A})
-    return out
+    return _corner_symbol(phi, psi, -1, -1)
 
 
 def complete_ustar(phi: Symbol, psi: Symbol, window=24, tol=1e-9) -> Verdict:
@@ -403,11 +387,10 @@ def complete_ustar(phi: Symbol, psi: Symbol, window=24, tol=1e-9) -> Verdict:
 
 
 def _family_membership(phi: Symbol, psi: Symbol, tol):
-    c = _scalar_coeffs(phi)
-    if any(j not in (-1, 0, 1) for j in c):
+    if phi.lo < -1 or phi.hi > 1:
         return False, None
-    cm1 = c.get(-1, 0.0)
-    c1 = c.get(1, 0.0)
+    cm1 = phi.scalar_coeff(-1)
+    c1 = phi.scalar_coeff(1)
     if abs(cm1) < 1e-6:
         # analytic family: unimodular coefficient at z, psi a unimodular multiple
         if abs(abs(c1) - 1.0) > tol:
@@ -417,7 +400,7 @@ def _family_membership(phi: Symbol, psi: Symbol, tol):
     if abs(abs(c1) - np.sqrt(1.0 + abs(cm1) ** 2)) > tol:
         return False, None
     omega = np.exp(1j * (np.pi - 2.0 * np.angle(cm1)))
-    diff = psi - Symbol.scalar({j: omega * v for j, v in c.items()})
+    diff = psi - phi * omega
     if diff.is_zero(tol):
         return True, 2
     return False, None
@@ -433,17 +416,7 @@ def no_hypo_completion_shift_pair(phi: Symbol, psi: Symbol, window=16) -> Verdic
     """
     if phi.n != 1 or psi.n != 1:
         raise ValueError("completion entries must be scalar symbols")
-    big = Symbol(2)
-    degs = set(phi.support()) | set(psi.support()) | {-1, 1}
-    for j in degs:
-        A = np.zeros((2, 2), dtype=complex)
-        if j == 1:
-            A[0, 0] = 1.0
-        if j == -1:
-            A[1, 1] = 1.0
-        A[0, 1] = phi.scalar_coeff(j)
-        A[1, 0] = psi.scalar_coeff(j)
-        big = big + Symbol(2, {j: A})
+    big = _corner_symbol(phi, psi, 1, -1)
     if not is_normal_symbol(big):
         return Verdict("NotNormalSymbol", notes=["completion symbol is not normal"])
     bw = big.bandwidth()

@@ -77,10 +77,6 @@ def build_M(zeros) -> TriangularModel:
     return TriangularModel(zeros, q, M)
 
 
-def model_for(theta: BlaschkeProduct) -> TriangularModel:
-    return build_M(theta.zero_list())
-
-
 def tm_basis(theta: BlaschkeProduct):
     """Orthonormal model-space basis functions as rational functions.
 
@@ -108,16 +104,13 @@ def poly_of_M(P, model: TriangularModel):
     model index outside and the matrix-coefficient index inside, matching
     the basis ordering (phi_j e_s) <-> index j*n + s.
     """
-    sup = P.support()
-    if sup and sup[0] < 0:
+    if P.lo < 0:
         raise ValueError("functional calculus needs an analytic polynomial")
     n = P.n
     d = model.d
     out = np.zeros((n * d, n * d), dtype=complex)
     Mi = np.eye(d, dtype=complex)
-    top = sup[-1] if sup else 0
-    for i in range(top + 1):
-        Ai = P.coeff(i)
+    for Ai in P.coeffs(0, P.hi):
         if np.max(np.abs(Ai)) > 0:
             out += np.kron(Mi, Ai)
         Mi = Mi @ model.matrix
@@ -131,16 +124,13 @@ def eval_poly_at_contraction(P, M, tail_tol=1e-12, max_terms=2000):
     the running power norm falls below tail_tol relative to the
     coefficient scale.  Used for rational calculus via truncated series.
     """
-    sup = P.support()
-    if sup and sup[0] < 0:
+    if P.lo < 0:
         raise ValueError("needs analytic expansion")
     n = P.n
     d = M.shape[0]
     out = np.zeros((n * d, n * d), dtype=complex)
     Mi = np.eye(d, dtype=complex)
-    top = sup[-1] if sup else 0
-    for i in range(min(top, max_terms) + 1):
-        Ai = P.coeff(i)
+    for Ai in P.coeffs(0, min(P.hi, max_terms)):
         if np.max(np.abs(Ai)) > 0:
             out += np.kron(Mi, Ai)
         Mi = Mi @ M
@@ -192,8 +182,7 @@ class InterpolantK:
     lsq_nodes: list  # node indices where the leading data matrix was singular
 
     def degree(self):
-        sup = self.poly.support()
-        return sup[-1] if sup else 0
+        return max(self.poly.hi, 0)
 
 
 class InterpolationInconsistent(ValueError):
@@ -305,10 +294,7 @@ def _assemble_interpolant(nodes, Kdata, n):
                 if t < d:
                     acc[t] += Kprime[j] * c
             shift_pow = mul_ascending(shift_pow, np.array([-alpha, 1.0]))
-    out = Symbol(n)
-    for t in range(d):
-        out = out + Symbol(n, {t: acc[t]})
-    return out
+    return Symbol.from_coeffs(0, acc)
 
 
 def _scalar_jets(p, z0, order):
@@ -328,16 +314,12 @@ def interpolation_residual(K: InterpolantK):
     """Max deviation of the polynomial's jets from the prescribed data."""
     worst = 0.0
     n = K.poly.n
+    C = K.poly.coeffs(0, max(K.poly.hi, 0))
     for i, (alpha, m) in enumerate(K.nodes):
         entry_jets = np.zeros((m, n, n), dtype=complex)
         for r in range(n):
             for s in range(n):
-                e = K.poly.entry(r, s)
-                sup = e.support()
-                c = np.zeros((sup[-1] + 1) if sup else 1, dtype=complex)
-                for j in sup:
-                    c[j] = e.scalar_coeff(j)
-                entry_jets[:, r, s] = _scalar_jets(c, alpha, m)
+                entry_jets[:, r, s] = _scalar_jets(C[:, r, s], alpha, m)
         for j in range(m):
             worst = max(worst, float(np.max(np.abs(entry_jets[j] - K.data[i][j]))))
     return worst

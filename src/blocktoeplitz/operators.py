@@ -65,14 +65,10 @@ def toeplitz_window(phi: Symbol, W: int) -> WindowedOperator:
     if W < 1:
         raise ValueError("window must be >= 1")
     n = phi.n
-    T = np.zeros((n * W, n * W), dtype=complex)
-    for j in phi.support():
-        A = phi.coeff(j)
-        for i in range(W):
-            k = i - j
-            if 0 <= k < W:
-                T[i * n : (i + 1) * n, k * n : (k + 1) * n] = A
-    return WindowedOperator(W, n, T, exact=False)
+    r = phi.coeffs(-(W - 1), W - 1)[::-1]  # r[s] = A_{W-1-s}, so A_{i-j} = r[(W-1-i) + j]
+    T = np.empty((W, n, W, n), dtype=complex)
+    T[...] = _hankel_view(r, W)[::-1]
+    return WindowedOperator(W, n, T.reshape(n * W, n * W), exact=False)
 
 
 def hankel_window(phi: Symbol, W: int) -> WindowedOperator:
@@ -80,16 +76,17 @@ def hankel_window(phi: Symbol, W: int) -> WindowedOperator:
     if W < 1:
         raise ValueError("window must be >= 1")
     n = phi.n
-    H = np.zeros((n * W, n * W), dtype=complex)
     m, _ = phi.degree_bounds()
-    for i in range(W):
-        for j in range(W):
-            d = -i - j - 1
-            if d >= -m:
-                A = phi.coeff(d)
-                if np.max(np.abs(A)) > 0:
-                    H[i * n : (i + 1) * n, j * n : (j + 1) * n] = A
-    return WindowedOperator(W, n, H, exact=(W >= m))
+    k = min(W, m)  # A_{-i-j-1} vanishes for i + j >= m: only the leading k x k blocks are nonzero
+    H = np.zeros((W, n, W, n), dtype=complex)
+    if k:
+        H[:k, :, :k] = _hankel_view(phi.coeffs(-(2 * k - 1), -1)[::-1], k)  # h[s] = A_{-s-1}
+    return WindowedOperator(W, n, H.reshape(n * W, n * W), exact=(W >= m))
+
+
+def _hankel_view(h, W):
+    """Strided (W, n, W, n) view whose block (i, j) is h[i + j], for a stack h of 2W - 1 blocks."""
+    return np.lib.stride_tricks.sliding_window_view(h, W, axis=0).transpose(0, 1, 3, 2)
 
 
 def positivity_report(matrix, window, exact=False, notes=None,
@@ -102,7 +99,7 @@ def positivity_report(matrix, window, exact=False, notes=None,
     Hm = 0.5 * (matrix + matrix.conj().T)
     vals, vecs = scipy.linalg.eigh(Hm)
     lam = float(vals[0])
-    scale = float(np.linalg.norm(Hm, 2)) if Hm.size else 0.0
+    scale = max(abs(lam), abs(float(vals[-1]))) if vals.size else 0.0  # the 2-norm of Hermitian Hm
     if lam >= -psd_tol * (1.0 + scale):
         verdict = "PSD"
         witness = None
@@ -133,22 +130,17 @@ def selfcommutator_exact(phi: Symbol, W: int | None = None) -> WindowedOperator:
     m, N = phi.degree_bounds()
     if W is None:
         W = m + N + 1
-    base = _selfcommutator_window(phi, W)
-    check = _selfcommutator_window(phi, 2 * W)
-    nW = phi.n * W
-    agree = np.max(np.abs(check[:nW, :nW] - base)) <= EXACT_TOL if base.size else True
-    outside = _outside_tail(check, nW)
-    exact = agree and outside <= EXACT_TOL
+    base, agree, outside = _doubling(_selfcommutator_window(phi, 2 * W), 1, phi.n * W,
+                                     small=_selfcommutator_window(phi, W))
     if not agree:
         raise ArithmeticError("doubling test failed: window entries unstable (non-polynomial input?)")
+    exact = outside <= EXACT_TOL
     return WindowedOperator(W, phi.n, base, exact=exact, tail_bound=0.0 if exact else outside)
 
 
 def _selfcommutator_window(phi: Symbol, W: int):
+    out = pseudo_selfcommutator(phi, W).block
     star = phi.star()
-    Hs = hankel_window(star, W).block
-    H = hankel_window(phi, W).block
-    out = Hs.conj().T @ Hs - H.conj().T @ H
     delta = star * phi - phi * star
     if not delta.is_zero():
         out = out + toeplitz_window(delta, W).block
@@ -160,46 +152,54 @@ def pseudo_selfcommutator(phi: Symbol, W: int | None = None) -> WindowedOperator
     m, N = phi.degree_bounds()
     if W is None:
         W = m + N + 1
-    star = phi.star()
-    Hs = hankel_window(star, W).block
+    Hs = hankel_window(phi.star(), W).block
     H = hankel_window(phi, W).block
     out = Hs.conj().T @ Hs - H.conj().T @ H
     return WindowedOperator(W, phi.n, out, exact=(W >= max(m, N)))
 
 
-def _outside_tail(big, keep):
-    """Largest entry of `big` outside its leading keep x keep corner."""
-    if big.shape[0] <= keep:
-        return 0.0
-    a = np.max(np.abs(big[keep:, :])) if big.shape[0] > keep else 0.0
-    b = np.max(np.abs(big[:, keep:])) if big.shape[1] > keep else 0.0
-    return float(max(a, b))
+def _doubling(big, k, nW, small=None):
+    """Doubling certificate of a k x k block window against its 2W recomputation.
+
+    `big` holds the window at 2W, with blocks of order 2nW.  Returns the
+    W-window (the leading nW corners of the blocks, or `small` when it is
+    given), whether `small` agrees with those corners within EXACT_TOL,
+    and the largest entry of `big` outside the corners.  The window is
+    exact when the two agree and that tail is at most EXACT_TOL.
+    """
+    blocks = big.reshape(k, 2 * nW, k, 2 * nW)
+    corner = blocks[:, :nW, :, :nW].reshape(k * nW, k * nW)  # a view of `big` when k = 1
+    agree = small is None or not small.size or np.max(np.abs(corner - small)) <= EXACT_TOL
+    outside = 0.0
+    for i in range(k):  # block rows, so no temporary grows with k
+        outside = max(outside, float(np.max(np.abs(blocks[i, nW:]))),
+                      float(np.max(np.abs(blocks[i, :nW, :, nW:]))))
+    # the returned window must not keep `big` alive
+    return (np.ascontiguousarray(corner) if small is None else small), agree, outside
 
 
-def _commutator_blocks(phi: Symbol, k: int, W: int):
-    """Exact W-windows of [T^{*j}, T^i] for 1 <= i, j <= k.
+def _power_commutators(phi: Symbol, k: int, W: int):
+    """k x k block matrix whose block (i, j) is the exact W-window of [T^{*(j+1)}, T^{i+1}].
 
     Computed from one inflated Toeplitz window: with bandwidth bw, a
     product of up to 2k factors spreads at most 2k*bw modes, so the
     inflated window W + 2k*bw + 1 makes the top-left W block exact.
     """
-    bw = phi.bandwidth()
-    B = W + 2 * k * bw + 1
-    n = phi.n
+    B = W + 2 * k * phi.bandwidth() + 1
     T = toeplitz_window(phi, B).block
     Ts = T.conj().T
-    powT = [np.eye(n * B, dtype=complex)]
-    powTs = [np.eye(n * B, dtype=complex)]
-    for _ in range(k):
+    powT = [T]
+    powTs = [Ts]
+    for _ in range(k - 1):
         powT.append(powT[-1] @ T)
         powTs.append(powTs[-1] @ Ts)
-    nW = n * W
-    blocks = {}
-    for i in range(1, k + 1):
-        for j in range(1, k + 1):
-            G = powTs[j] @ powT[i] - powT[i] @ powTs[j]
-            blocks[(i, j)] = G[:nW, :nW]
-    return blocks
+    nW = phi.n * W
+    out = np.empty((k * nW, k * nW), dtype=complex)
+    for i in range(k):
+        for j in range(k):
+            out[i * nW : (i + 1) * nW, j * nW : (j + 1) * nW] = (
+                powTs[j][:nW] @ powT[i][:, :nW] - powT[i][:nW] @ powTs[j][:, :nW])
+    return out
 
 
 def k_hypo_window(phi: Symbol, k: int, W: int, psd_tol=PSD_TOL,
@@ -216,40 +216,21 @@ def k_hypo_window(phi: Symbol, k: int, W: int, psd_tol=PSD_TOL,
     bw = phi.bandwidth()
     if W < bw + 1:
         raise ValueError(f"window {W} too small for bandwidth {bw}")
-    big = _assemble_khypo(phi, k, 2 * W)
-    small = _assemble_khypo(phi, k, W)
-    nW = phi.n * W
-    n2W = phi.n * 2 * W
-    agree = True
-    outside = 0.0
-    for i in range(k):
-        for j in range(k):
-            Bij = big[i * n2W : i * n2W + n2W, j * n2W : j * n2W + n2W]
-            Sij = small[i * nW : i * nW + nW, j * nW : j * nW + nW]
-            agree = agree and np.max(np.abs(Bij[:nW, :nW] - Sij)) <= EXACT_TOL
-            outside = max(outside, _outside_tail(Bij, nW))
-    exact = agree and outside <= EXACT_TOL
+    small, _, outside = _doubling(_power_commutators(phi, k, 2 * W), k, phi.n * W)
+    return _windowed_report(small, W, outside <= EXACT_TOL, psd_tol, not_psd_tol)
+
+
+def _windowed_report(small, W, exact, psd_tol, not_psd_tol):
     rep = positivity_report(small, W, exact=exact, psd_tol=psd_tol, not_psd_tol=not_psd_tol)
     if rep.verdict == "PSD" and not exact:
         rep.notes.append("consistent up to window; support not certified")
     return rep
 
 
-def _assemble_khypo(phi: Symbol, k: int, W: int):
-    blocks = _commutator_blocks(phi, k, W)
-    nW = phi.n * W
-    out = np.zeros((k * nW, k * nW), dtype=complex)
-    for i in range(1, k + 1):
-        for j in range(1, k + 1):
-            out[(i - 1) * nW : i * nW, (j - 1) * nW : j * nW] = blocks[(i, j)]
-    return out
-
-
 def square_window(phi: Symbol, W: int):
     """Exact W-window of T_Phi^2 via T_{Phi^2} - H_{Phi*}* H_Phi."""
-    star = phi.star()
     T2 = toeplitz_window(phi * phi, W).block
-    Hs = hankel_window(star, W).block
+    Hs = hankel_window(phi.star(), W).block
     H = hankel_window(phi, W).block
     return T2 - Hs.conj().T @ H
 
@@ -264,25 +245,15 @@ def square_hypo_window(phi: Symbol, W: int, psd_tol=PSD_TOL,
     bw = phi.bandwidth()
     if W < 2 * bw + 1:
         raise ValueError(f"window {W} too small for squared bandwidth {2 * bw}")
-    small = _square_commutator(phi, W)
-    big = _square_commutator(phi, 2 * W)
-    nW = phi.n * W
-    agree = np.max(np.abs(big[:nW, :nW] - small)) <= EXACT_TOL
-    outside = _outside_tail(big, nW)
-    exact = agree and outside <= EXACT_TOL
-    rep = positivity_report(small, W, exact=exact, psd_tol=psd_tol, not_psd_tol=not_psd_tol)
-    if rep.verdict == "PSD" and not exact:
-        rep.notes.append("consistent up to window; support not certified")
-    return rep
+    small, _, outside = _doubling(_square_commutator(phi, 2 * W), 1, phi.n * W)
+    return _windowed_report(small, W, outside <= EXACT_TOL, psd_tol, not_psd_tol)
 
 
 def _square_commutator(phi: Symbol, W: int):
-    bw = phi.bandwidth()
-    B = W + 4 * bw + 4
-    S = square_window(phi, B)
-    G = S.conj().T @ S - S @ S.conj().T
+    """Exact W-window of [T^2*, T^2]: products on a window inflated past the squared bandwidth."""
+    S = square_window(phi, W + 4 * phi.bandwidth() + 4)
     nW = phi.n * W
-    return G[:nW, :nW]
+    return S[:, :nW].conj().T @ S[:, :nW] - S[:nW] @ S[:nW].conj().T
 
 
 # -- normal non-Toeplitz completion of the double conjugate-shift corner ------

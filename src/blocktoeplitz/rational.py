@@ -79,9 +79,6 @@ class RationalFn:
     def degree_num(self):
         return len(self.num) - 1
 
-    def degree_den(self):
-        return len(self.den) - 1
-
     def is_zero(self, tol=DROP_TOL):
         return bool(np.all(np.abs(self.num) <= tol))
 
@@ -131,16 +128,6 @@ class RationalFn:
     # -- analysis ----------------------------------------------------------
     def __call__(self, z):
         return polyval_ascending(self.num, z) / polyval_ascending(self.den, z)
-
-    def derivative(self):
-        pn = np.polyder(self.num[::-1])[::-1]
-        qd = np.polyder(self.den[::-1])[::-1]
-        num = np.polysub(
-            np.polymul(pn[::-1], self.den[::-1]),
-            np.polymul(qd[::-1], self.num[::-1]),
-        )[::-1]
-        den = np.polymul(self.den[::-1], self.den[::-1])[::-1]
-        return RationalFn(num, den)
 
     def taylor_jets(self, z0, order):
         """Return [f(z0), f'(z0)/1!, ..., f^(k)(z0)/k!] up to k = order-1.

@@ -116,7 +116,7 @@ def family_pair(family, theta=0.0, omega=0.0, alpha=0.0, beta=0.0):
     """(phi, psi) built from the normal-completion family parameters."""
     if family == 1:
         phi = Symbol.scalar({1: np.exp(1j * theta), 0: beta})
-        psi = Symbol.scalar({j: np.exp(1j * omega) * phi.scalar_coeff(j) for j in phi.support()})
+        psi = phi * np.exp(1j * omega)
         return phi, psi
     if family == 2:
         if alpha == 0:
@@ -124,7 +124,7 @@ def family_pair(family, theta=0.0, omega=0.0, alpha=0.0, beta=0.0):
         c1 = np.exp(1j * theta) * np.sqrt(1.0 + abs(alpha) ** 2)
         phi = Symbol.scalar({-1: alpha, 1: c1, 0: beta})
         om = np.exp(1j * (np.pi - 2 * np.angle(alpha)))
-        psi = Symbol.scalar({j: om * phi.scalar_coeff(j) for j in phi.support()})
+        psi = phi * om
         return phi, psi
     raise ValueError("family must be 1 or 2")
 
@@ -187,7 +187,7 @@ def nonfamily_pair(rng):
                   -2: 0.4 + 0.5 * rng.random()}
     phi = Symbol.scalar(coeffs)
     u = np.exp(2j * np.pi * rng.random())
-    psi = Symbol.scalar({j: u * phi.scalar_coeff(j) for j in phi.support()})
+    psi = phi * u
     return phi, psi
 
 

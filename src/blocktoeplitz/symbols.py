@@ -1,9 +1,11 @@
 """Matrix Laurent symbols with exact finite Fourier support.
 
 A Symbol stores the coefficient matrices A_j of Phi(z) = sum_j A_j z^j
-over a finite support window [-m, N].  All arithmetic is exact Cauchy
-product / coefficientwise work on those matrices, with a global drop
-tolerance pruning near-zero coefficients.
+as one dense array: `c[k]` is A_{lo+k}, trimmed so that c[0] and c[-1]
+are nonzero (the zero symbol has lo = 0 and no rows).  Arithmetic is
+Cauchy product / coefficientwise work on that array, with a global drop
+tolerance: a coefficient whose largest entry is at most DROP_TOL counts
+as zero.
 
 Rational (non-polynomial) symbols enter as RationalPair grids, see
 `RationalSymbol`; their Fourier side is a truncated Symbol with a
@@ -12,6 +14,7 @@ certified geometric tail below TAIL_TOL.
 
 from __future__ import annotations
 
+import itertools
 import json
 
 import numpy as np
@@ -28,38 +31,65 @@ class Symbol:
 
     def __init__(self, n, coeffs=None):
         self.n = int(n)
-        self._c = {}
+        degs = [int(j) for j in coeffs] if coeffs else [0]
+        lo = min(degs)
+        c = np.zeros((max(degs) - lo + 1, self.n, self.n), dtype=complex)
         if coeffs:
-            for j, A in coeffs.items():
-                self._set(int(j), A)
+            vals = np.asarray(list(coeffs.values()), dtype=complex)
+            if vals.shape[1:] != (self.n, self.n):
+                raise ValueError(f"coefficients have shape {vals.shape[1:]}, expected {(self.n, self.n)}")
+            c[np.array(degs) - lo] = vals
+        self._store(lo, c)
 
-    def _set(self, j, A):
-        A = np.asarray(A, dtype=complex)
-        if A.shape != (self.n, self.n):
-            raise ValueError(f"coefficient at degree {j} has shape {A.shape}, expected {(self.n, self.n)}")
-        if not np.all(np.isfinite(A)):
+    def _store(self, lo, c):
+        """Keep c from its first to its last coefficient above DROP_TOL, zeroing those at or below it."""
+        mags = np.abs(c).max(axis=(1, 2))
+        if not np.isfinite(mags).all():
             raise ValueError("non-finite coefficient")
-        if np.max(np.abs(A)) > DROP_TOL:
-            self._c[j] = A.copy()
+        keep = mags > DROP_TOL
+        nz = np.flatnonzero(keep)
+        if not len(nz):
+            self.lo, self.c = 0, np.zeros((0, self.n, self.n), dtype=complex)
+            return
+        a, b = nz[0], nz[-1] + 1
+        self.lo, self.c = lo + int(a), np.where(keep[a:b, None, None], c[a:b], 0)
 
     # -- constructors -----------------------------------------------------
     @classmethod
-    def scalar(cls, coeffs):
-        """Scalar symbol from a {degree: complex} dict."""
-        return cls(1, {j: np.array([[v]], dtype=complex) for j, v in coeffs.items()})
+    def from_coeffs(cls, lo, c):
+        """Symbol with A_{lo+k} = c[k] for a coefficient stack c of shape (L, n, n)."""
+        c = np.asarray(c, dtype=complex)
+        out = cls.__new__(cls)
+        out.n = c.shape[1]
+        out._store(int(lo), c)
+        return out
 
     @classmethod
-    def zero(cls, n):
-        return cls(n)
+    def scalar(cls, coeffs):
+        """Scalar symbol from a {degree: complex} dict."""
+        return cls(1, {j: [[v]] for j, v in coeffs.items()})
 
     @classmethod
     def identity(cls, n):
         return cls(n, {0: np.eye(n)})
 
     # -- accessors ---------------------------------------------------------
+    @property
+    def hi(self):
+        """Highest degree of the support (lo - 1 for the zero symbol)."""
+        return self.lo + len(self.c) - 1
+
+    def coeffs(self, a, b):
+        """Dense stack [A_a, ..., A_b], zero outside the support."""
+        out = np.zeros((max(b - a + 1, 0), self.n, self.n), dtype=complex)
+        s, e = max(a, self.lo), min(b, self.hi)
+        if s <= e:
+            out[s - a : e - a + 1] = self.c[s - self.lo : e - self.lo + 1]
+        return out
+
     def coeff(self, j):
         """Fourier coefficient A_j; zero matrix outside the support."""
-        return self._c.get(j, np.zeros((self.n, self.n), dtype=complex)).copy()
+        return self.coeffs(j, j)[0]
 
     def scalar_coeff(self, j):
         if self.n != 1:
@@ -67,59 +97,54 @@ class Symbol:
         return complex(self.coeff(j)[0, 0])
 
     def support(self):
-        return sorted(self._c.keys())
+        return [self.lo + int(k) for k in np.flatnonzero(np.any(self.c != 0, axis=(1, 2)))]
 
     def degree_bounds(self):
         """(m, N) with support inside [-m, N]; (0, 0) for the zero symbol."""
-        if not self._c:
+        if not len(self.c):
             return 0, 0
-        lo = min(self._c)
-        hi = max(self._c)
-        return max(0, -lo), max(0, hi)
+        return max(0, -self.lo), max(0, self.hi)
 
     def bandwidth(self):
         m, N = self.degree_bounds()
         return max(m, N)
 
     def is_zero(self, tol=DROP_TOL):
-        return all(np.max(np.abs(A)) <= tol for A in self._c.values())
-
-    def entry(self, i, j):
-        """Scalar symbol of the (i, j) entry."""
-        return Symbol.scalar({d: A[i, j] for d, A in self._c.items() if abs(A[i, j]) > DROP_TOL})
+        return not len(self.c) or float(np.abs(self.c).max()) <= tol
 
     # -- algebra -----------------------------------------------------------
     def __add__(self, other):
-        other = self._coerce(other)
-        out = Symbol(self.n)
-        for j in set(self._c) | set(other._c):
-            out._set(j, self.coeff(j) + other.coeff(j))
-        return out
+        return self._combine(other, 1.0)
 
     def __sub__(self, other):
+        return self._combine(other, -1.0)
+
+    def _combine(self, other, sign):
         other = self._coerce(other)
-        out = Symbol(self.n)
-        for j in set(self._c) | set(other._c):
-            out._set(j, self.coeff(j) - other.coeff(j))
-        return out
+        lo = min(self.lo, other.lo)
+        c = np.zeros((max(self.hi, other.hi) - lo + 1, self.n, self.n), dtype=complex)
+        c[self.lo - lo : self.hi - lo + 1] = self.c
+        c[other.lo - lo : other.hi - lo + 1] += sign * other.c
+        return Symbol.from_coeffs(lo, c)
 
     def __neg__(self):
-        return Symbol(self.n, {j: -A for j, A in self._c.items()})
+        return Symbol.from_coeffs(self.lo, -self.c)
 
     def __mul__(self, other):
         if np.isscalar(other):
-            return Symbol(self.n, {j: other * A for j, A in self._c.items()})
+            return Symbol.from_coeffs(self.lo, other * self.c)
         if other.n != self.n:
             raise ValueError(f"size mismatch: {self.n} vs {other.n}")
-        acc = {}
-        for j, A in self._c.items():
-            for k, B in other._c.items():
-                d = j + k
-                acc[d] = acc.get(d, 0) + A @ B
-        out = Symbol(self.n)
-        for d, A in acc.items():
-            out._set(d, A)
-        return out
+        a, b = self.c, other.c
+        if not len(a) or not len(b):
+            return Symbol(self.n)
+        # entry (i, k) of the Cauchy product is sum_j conv(a_ij, b_jk); for the
+        # n <= 2 symbols in use, n^3 direct 1-D convolutions beat one batched
+        # n x n matmul per shift of the shorter factor
+        c = np.zeros((len(a) + len(b) - 1, self.n, self.n), dtype=complex)
+        for i, j, k in itertools.product(range(self.n), repeat=3):
+            c[:, i, k] += np.convolve(a[:, i, j], b[:, j, k])
+        return Symbol.from_coeffs(self.lo + other.lo, c)
 
     def __rmul__(self, scalar):
         return self * scalar
@@ -135,11 +160,11 @@ class Symbol:
 
     def star(self):
         """Adjoint symbol Phi*(z), with coefficient (A_{-j})^* at degree j."""
-        return Symbol(self.n, {-j: A.conj().T for j, A in self._c.items()})
+        return Symbol.from_coeffs(-self.hi, self.c[::-1].conj().transpose(0, 2, 1))
 
     def tilde(self):
         """The involution Phi~(z) = Phi*(conj(z)); adjoints each coefficient in place."""
-        return Symbol(self.n, {j: A.conj().T for j, A in self._c.items()})
+        return Symbol.from_coeffs(self.lo, self.c.conj().transpose(0, 2, 1))
 
     def split(self):
         """Analytic/co-analytic split (Phi_plus, Phi_minus).
@@ -148,30 +173,21 @@ class Symbol:
         of the co-analytic part, with coefficient (A_{-j})^* at degree j >= 1,
         so that Phi = Phi_minus^* + Phi_plus coefficientwise.
         """
-        plus = Symbol(self.n, {j: A for j, A in self._c.items() if j >= 0})
-        minus = Symbol(self.n, {-j: A.conj().T for j, A in self._c.items() if j < 0})
+        neg = max(-self.lo, 0)  # number of rows at negative degrees
+        plus = Symbol.from_coeffs(self.lo + neg, self.c[neg:])
+        minus = Symbol.from_coeffs(self.lo, self.c[:neg]).star()
         return plus, minus
-
-    def transpose(self):
-        return Symbol(self.n, {j: A.T for j, A in self._c.items()})
 
     # -- analysis ------------------------------------------------------------
     def eval_circle(self, t):
         """Values Phi(e^{it}) for an array of angles t; shape (len(t), n, n)."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        z = np.exp(1j * t)
-        out = np.zeros((len(t), self.n, self.n), dtype=complex)
-        for j, A in self._c.items():
-            out += (z ** j)[:, None, None] * A[None, :, :]
-        return out
+        zp = np.exp(1j * t)[:, None] ** np.arange(self.lo, self.hi + 1)
+        vals = zp @ self.c.reshape(len(self.c), self.n * self.n)
+        return vals.reshape(len(t), self.n, self.n)
 
     def equals(self, other, tol=EQ_TOL):
         return (self - other).is_zero(tol)
-
-    def max_coeff(self):
-        if not self._c:
-            return 0.0
-        return max(float(np.max(np.abs(A))) for A in self._c.values())
 
     def to_json_dict(self):
         return {
@@ -179,9 +195,9 @@ class Symbol:
             "coeffs": [
                 {
                     "deg": j,
-                    "matrix": [[[float(v.real), float(v.imag)] for v in row] for row in A],
+                    "matrix": [[[float(v.real), float(v.imag)] for v in row] for row in self.c[j - self.lo]],
                 }
-                for j, A in sorted(self._c.items())
+                for j in self.support()
             ],
         }
 
@@ -257,16 +273,12 @@ def rational_to_scalar_symbol(plus: RationalFn, minus: RationalFn, tail_tol=TAIL
     `plus` and `minus` are disk-analytic; `minus` is the analytic
     representative of the co-analytic part (minus(0) = 0 expected).
     """
-    coeffs = {}
-    for j, c in enumerate(plus.fourier_coeffs(tail_tol)):
-        if abs(c) > DROP_TOL:
-            coeffs[j] = coeffs.get(j, 0) + c
-    for j, c in enumerate(minus.fourier_coeffs(tail_tol)):
-        if j == 0:
-            continue
-        if abs(c) > DROP_TOL:
-            coeffs[-j] = coeffs.get(-j, 0) + np.conj(c)
-    return Symbol.scalar(coeffs)
+    return RationalSymbol(1, [[plus]], [[minus]]).to_symbol(tail_tol)
+
+
+def _prune(v):
+    """Entries at or below DROP_TOL set to zero: each matrix entry is its own function."""
+    return np.where(np.abs(v) > DROP_TOL, v, 0)
 
 
 class RationalSymbol:
@@ -284,49 +296,24 @@ class RationalSymbol:
 
     @classmethod
     def from_symbol(cls, phi: Symbol):
-        plus, minus = phi.split()
-        P = [[None] * phi.n for _ in range(phi.n)]
-        M = [[None] * phi.n for _ in range(phi.n)]
-        for i in range(phi.n):
-            for j in range(phi.n):
-                pc = plus.entry(i, j)
-                mc = minus.entry(i, j)
-                P[i][j] = _laurent_to_poly(pc)
-                M[i][j] = _laurent_to_poly(mc)
-        return cls(phi.n, P, M)
+        n = phi.n
+        P, M = (_prune(s.coeffs(0, s.hi)) for s in phi.split())
+        return cls(n, [[RationalFn(P[:, i, j]) for j in range(n)] for i in range(n)],
+                   [[RationalFn(M[:, i, j]) for j in range(n)] for i in range(n)])
 
     def to_symbol(self, tail_tol=TAIL_TOL):
-        out = Symbol(self.n)
-        acc = {}
-        for i in range(self.n):
-            for j in range(self.n):
-                cp = self.plus[i][j].fourier_coeffs(tail_tol)
-                for d, c in enumerate(cp):
-                    if abs(c) > DROP_TOL:
-                        acc.setdefault(d, np.zeros((self.n, self.n), complex))[i, j] += c
-                cm = self.minus[i][j].fourier_coeffs(tail_tol)
-                for d, c in enumerate(cm):
-                    if d == 0 or abs(c) <= DROP_TOL:
-                        continue
-                    acc.setdefault(-d, np.zeros((self.n, self.n), complex))[i, j] += np.conj(c)
-        for d, A in acc.items():
-            out._set(d, A)
-        return out
+        n = self.n
+        pairs = [(i, j, self.plus[i][j].fourier_coeffs(tail_tol),
+                  self.minus[i][j].fourier_coeffs(tail_tol)[1:]) for i in range(n) for j in range(n)]
+        m = max(len(cm) for *_, cm in pairs)  # co-analytic degree
+        c = np.zeros((m + max(len(cp) for _, _, cp, _ in pairs), n, n), dtype=complex)
+        for i, j, cp, cm in pairs:
+            c[m : m + len(cp), i, j] = _prune(cp)
+            c[m - len(cm) : m, i, j] = _prune(cm[::-1].conj())
+        return Symbol.from_coeffs(-m, c)
 
     def is_analytic(self, tol=DROP_TOL):
         return all(self.minus[i][j].is_zero(tol) for i in range(self.n) for j in range(self.n))
 
     def __repr__(self):
         return f"RationalSymbol(n={self.n})"
-
-
-def _laurent_to_poly(scalar_sym: Symbol) -> RationalFn:
-    """Scalar Symbol with support >= 0 as a polynomial RationalFn."""
-    sup = scalar_sym.support()
-    if sup and sup[0] < 0:
-        raise ValueError("negative-degree coefficient in analytic entry")
-    deg = sup[-1] if sup else 0
-    c = np.zeros(deg + 1, dtype=complex)
-    for j in sup:
-        c[j] = scalar_sym.scalar_coeff(j)
-    return RationalFn(c)

@@ -189,3 +189,16 @@ def test_nonconvergent_quadrature_exits_undecided(capsys, monkeypatch):
     code = main(["suite", "model-identity", "--cases", "1", "--seed", "0"])
     assert code == 2
     assert "undecided" in capsys.readouterr().err
+
+
+def test_solver_failure_exits_undecided(capsys, monkeypatch):
+    # LinAlgError subclasses ValueError, yet a failed solve is not an input error
+    from blocktoeplitz import operators as op
+
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("eigenvalue solver did not converge")
+
+    monkeypatch.setattr(op, "k_hypo_window", fail)
+    code = main(["check-k", "--k", "2", "--window", "8", "--phi", "zbar+2z"])
+    assert code == 2
+    assert "undecided" in capsys.readouterr().err

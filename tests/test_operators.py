@@ -218,3 +218,16 @@ def test_pseudo_selfcommutator_balanced_offdiagonal():
     np.testing.assert_allclose(p.block, 0.0, atol=1e-13)
     rep = positivity_report(p.block, 6)
     assert rep.verdict == "PSD"
+
+
+def test_windows_match_block_definitions_on_gap_symbols():
+    rng = np.random.default_rng(12)
+    n = 2
+    for degrees, W in (([-4, -1, 0, 3], 5), ([-3, 2, 5], 7), ([-6, -2], 3)):
+        phi = Symbol(n, {j: rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) for j in degrees})
+        T = toeplitz_window(phi, W).block
+        H = hankel_window(phi, W).block
+        for i in range(W):
+            for j in range(W):
+                np.testing.assert_array_equal(T[i * n : (i + 1) * n, j * n : (j + 1) * n], phi.coeff(i - j))
+                np.testing.assert_array_equal(H[i * n : (i + 1) * n, j * n : (j + 1) * n], phi.coeff(-i - j - 1))

@@ -163,3 +163,44 @@ def test_sup_norm_rejects_coarse_grid():
     import pytest
     with pytest.raises(ValueError):
         sup_norm(phi, grid=5)
+
+
+def gap_symbol(rng, degrees, n=2):
+    """Random symbol supported exactly on `degrees` (interior gaps allowed)."""
+    return Symbol(n, {j: rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) for j in degrees})
+
+
+def test_pruning_and_support():
+    phi = Symbol.scalar({-3: 1, 0: 1e-13, 2: 1})
+    assert phi.support() == [-3, 2]
+    assert phi.degree_bounds() == (3, 2)
+    assert phi.coeff(0)[0, 0] == 0
+    assert Symbol.scalar({-1: 1e-13, 4: 1e-14}).is_zero()
+    assert Symbol.scalar({-1: 1e-13, 4: 1e-14}).support() == []
+
+
+def test_dense_algebra_matches_coefficient_reference():
+    rng = np.random.default_rng(11)
+    for _ in range(5):
+        da = sorted(rng.choice(np.arange(-5, 6), size=4, replace=False).tolist())
+        db = sorted(rng.choice(np.arange(-6, 4), size=3, replace=False).tolist())
+        a, b = gap_symbol(rng, da), gap_symbol(rng, db)
+        assert a.support() == da and b.support() == db
+        # Cauchy product, one pair of coefficients at a time
+        prod = {}
+        for j in da:
+            for k in db:
+                prod[j + k] = prod.get(j + k, 0) + a.coeff(j) @ b.coeff(k)
+        ab = a * b
+        for d in range(da[0] + db[0] - 1, da[-1] + db[-1] + 2):
+            np.testing.assert_allclose(ab.coeff(d), prod.get(d, np.zeros((2, 2))), atol=1e-12)
+        # adjoint: (A_{-j})^* at degree j
+        st = a.star()
+        assert st.support() == sorted(-j for j in da)
+        for j in range(-6, 7):
+            np.testing.assert_array_equal(st.coeff(j), a.coeff(-j).conj().T)
+        # split: degrees >= 0, and (A_{-j})^* at degree j >= 1
+        plus, minus = a.split()
+        for j in range(-6, 7):
+            np.testing.assert_array_equal(plus.coeff(j), a.coeff(j) if j >= 0 else np.zeros((2, 2)))
+            np.testing.assert_array_equal(minus.coeff(j), a.coeff(-j).conj().T if j >= 1 else np.zeros((2, 2)))
