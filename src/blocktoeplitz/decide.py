@@ -221,7 +221,12 @@ def decide_hyponormal(phi, window_fallback=True, contract_tol=CONTRACT_TOL) -> V
     finite-window commutator consulted for a witness.
     """
     R = _as_rational_symbol(phi)
-    S = phi if isinstance(phi, Symbol) else R.to_symbol()
+    return _decide_hyponormal(R, phi if isinstance(phi, Symbol) else R.to_symbol(),
+                              window_fallback, contract_tol)
+
+
+def _decide_hyponormal(R, S, window_fallback=True, contract_tol=CONTRACT_TOL) -> Verdict:
+    """`decide_hyponormal` on the rational symbol R and its Fourier symbol S."""
     if not is_normal_symbol(S):
         return Verdict("NotHyponormal", notes=["symbol is not normal"])
     try:
@@ -313,7 +318,7 @@ def classify_normal_or_analytic(phi, square_window=None) -> Verdict:
     com = op.selfcommutator_exact(S)
     if float(np.max(np.abs(com.block))) <= 1e-9:
         return Verdict("Normal", notes=notes)
-    hypo = decide_hyponormal(R)
+    hypo = _decide_hyponormal(R, S)
     if hypo.tag == "Hyponormal":
         W = square_window or max(16, 4 * S.bandwidth() + 4)
         sq = op.square_hypo_window(S, W)

@@ -4,7 +4,19 @@ For trigonometric-polynomial symbols, Hankel operators have finite
 support and Toeplitz operators are banded, so every commutator window
 below is assembled so that the returned top-left block equals the
 corresponding block of the infinite operator exactly: products are
-computed on an inflated window and then compressed.
+computed on an inflated window and then compressed.  Hankel products
+are formed on the nonzero leading corners of the Hankel windows only.
+
+For a normal symbol the k-hyponormality block matrix and the squared
+self-commutator are supported in a corner of W* = k(bw + m + N) modes
+(k = 2 for the square test), whatever window the caller asks for; see
+`k_hypo_window` for the proof.  Above W* the windows are decided on that
+corner: the doubling test at (W*, 2W*) certifies it, the W-window is its
+zero padding, and the witness is padded back to the W-window's length.
+When the doubling fails there, the symbol is numerically non-normal, no
+window is exact, and the W-window is assembled once.  A k-step or
+squared window whose dense assembly would exceed MAX_WINDOW_BYTES is
+refused with a ValueError before anything is allocated.
 """
 
 from __future__ import annotations
@@ -19,6 +31,7 @@ from .symbols import Symbol
 PSD_TOL = 1e-9
 NOT_PSD_TOL = 1e-6
 EXACT_TOL = 1e-11
+MAX_WINDOW_BYTES = 1 << 30  # dense window budget: larger windows are refused up front
 
 
 @dataclass
@@ -152,10 +165,18 @@ def pseudo_selfcommutator(phi: Symbol, W: int | None = None) -> WindowedOperator
     m, N = phi.degree_bounds()
     if W is None:
         W = m + N + 1
-    Hs = hankel_window(phi.star(), W).block
-    H = hankel_window(phi, W).block
-    out = Hs.conj().T @ Hs - H.conj().T @ H
+    Hs = _hankel_corner(phi.star(), W)
+    H = _hankel_corner(phi, W)
+    out = np.zeros((phi.n * W, phi.n * W), dtype=complex)
+    out[: len(Hs), : len(Hs)] = Hs.conj().T @ Hs
+    out[: len(H), : len(H)] -= H.conj().T @ H
     return WindowedOperator(W, phi.n, out, exact=(W >= max(m, N)))
+
+
+def _hankel_corner(phi: Symbol, W: int):
+    """The leading n*min(W, m) rows and columns of the Hankel W-window, outside which it is zero."""
+    k = min(W, phi.degree_bounds()[0])
+    return hankel_window(phi, k).block if k else np.zeros((0, 0), dtype=complex)
 
 
 def _doubling(big, k, nW, small=None):
@@ -186,6 +207,7 @@ def _power_commutators(phi: Symbol, k: int, W: int):
     inflated window W + 2k*bw + 1 makes the top-left W block exact.
     """
     B = W + 2 * k * phi.bandwidth() + 1
+    _refuse_over_budget(phi.n, k, W, B)
     T = toeplitz_window(phi, B).block
     Ts = T.conj().T
     powT = [T]
@@ -202,6 +224,26 @@ def _power_commutators(phi: Symbol, k: int, W: int):
     return out
 
 
+def _refuse_over_budget(n, k, W, B):
+    """Raise ValueError when a k x k block window of order n*W would exceed MAX_WINDOW_BYTES.
+
+    The estimate counts 16 bytes per complex entry of the 2k powers of
+    T and T* on the inflated window B and of eight matrices of the
+    result's order k*n*W: its products, its Hermitian part, and the copy
+    and eigenvectors that `eigh` allocates.
+    """
+    nbytes = 16 * (2 * k * (n * B) ** 2 + 8 * (k * n * W) ** 2)
+    if nbytes > MAX_WINDOW_BYTES:
+        raise ValueError(f"window {W} (k={k}, n={n}, dense order {k * n * W}) needs about "
+                         f"{nbytes / 2**30:.3g} GiB, over the {MAX_WINDOW_BYTES / 2**30:.3g} GiB budget")
+
+
+def _support_window(phi: Symbol, k: int) -> int:
+    """W* = k(bw + m + N): the corner holding the k-hyponormality matrix of a normal symbol."""
+    m, N = phi.degree_bounds()
+    return max(1, k * (max(m, N) + m + N))
+
+
 def k_hypo_window(phi: Symbol, k: int, W: int, psd_tol=PSD_TOL,
                   not_psd_tol=NOT_PSD_TOL) -> PositivityReport:
     """Positivity of the k x k block matrix of power commutators.
@@ -210,14 +252,64 @@ def k_hypo_window(phi: Symbol, k: int, W: int, psd_tol=PSD_TOL,
     certifies failure of k-hyponormality (compressions of PSD operators
     are PSD); a PSD verdict is exact only when the doubling test shows
     the quadratic form is supported inside the window.
+
+    Support corner.  Let Phi have support [-m, N] and bw = max(m, N),
+    and write e_b for mode b.  Three facts:
+      (1) T_Phi e_b = Phi z^b once b >= m (no mode of Phi z^b is cut), and
+          likewise T_Phi* e_b = Phi* z^b once b >= N;
+      (2) T_Phi raises the top mode of a vector by at most N, and T_Phi*
+          by at most m;
+      (3) for a pointwise-normal Phi, (Phi^j)* Phi^i = Phi^i (Phi^j)*.
+    Take entry (a, b) of C = [T^{*j}, T^i] with i, j <= k.  By (2) the
+    top mode of both products applied to e_b is at most b + iN + jm, so
+    the entry vanishes for a - b > k(m + N); C* = [T^{*i}, T^j] gives the
+    same for b - a.  If min(a, b) >= k*bw, (1) applied i (resp. j) times
+    turns the entry into the L^2 pairings <Phi^i z^b, Phi^j z^a> -
+    <(Phi^j)* z^b, (Phi^i)* z^a>, the coefficient of degree a - b of
+    (Phi^j)* Phi^i - Phi^i (Phi^j)*, which is zero by (3).  So the entry
+    vanishes unless min(a, b) < k*bw and |a - b| <= k(m + N), and every
+    block lives in its leading W* = k(bw + m + N) modes.
+    Certificate.  Outside W* the only entries that (2) does not kill
+    have min(a, b) >= k*bw, where they equal those coefficients, constant
+    along each diagonal |a - b| <= k(m + N).  The 2W*-window holds every
+    such diagonal at a mode pair past W*, so a doubling test at
+    (W*, 2W*) bounds them all by EXACT_TOL, normal symbol or not.
+
+    For W <= W* the window is decided by the doubling test at
+    (W, 2W).  Above W*, that test at (W*, 2W*) decides: when it
+    certifies, the W-window is the W* corner padded with zeros, so its
+    lambda_min is min(lambda_corner, 0) and the witness is zero-padded
+    in each block; when it does not, the symbol is numerically
+    non-normal, its Toeplitz term has unbounded support, and the
+    W-window is assembled once and reported not exact.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     bw = phi.bandwidth()
     if W < bw + 1:
         raise ValueError(f"window {W} too small for bandwidth {bw}")
-    small, _, outside = _doubling(_power_commutators(phi, k, 2 * W), k, phi.n * W)
-    return _windowed_report(small, W, outside <= EXACT_TOL, psd_tol, not_psd_tol)
+    return _decide_window(lambda V: _power_commutators(phi, k, V), k, phi.n, W,
+                          _support_window(phi, k), psd_tol, not_psd_tol)
+
+
+def _decide_window(assemble, k, n, W, Ws, psd_tol, not_psd_tol):
+    """Positivity of a k x k block window of order n*W, decided on its support corner Ws.
+
+    `assemble(V)` returns the exact V-window; see `k_hypo_window`.
+    """
+    if W <= Ws:
+        small, _, outside = _doubling(assemble(2 * W), k, n * W)
+        return _windowed_report(small, W, outside <= EXACT_TOL, psd_tol, not_psd_tol)
+    corner, _, outside = _doubling(assemble(2 * Ws), k, n * Ws)
+    if outside > EXACT_TOL:  # not normal: no window is exact
+        return _windowed_report(assemble(W), W, False, psd_tol, not_psd_tol)
+    rep = positivity_report(corner, W, exact=True, psd_tol=psd_tol, not_psd_tol=not_psd_tol)
+    rep.min_eigenvalue = min(rep.min_eigenvalue, 0.0)  # the padding adds zero eigenvalues
+    if rep.witness is not None:
+        padded = np.zeros((k, n * W), dtype=complex)
+        padded[:, : n * Ws] = rep.witness.reshape(k, n * Ws)
+        rep.witness = padded.ravel()
+    return rep
 
 
 def _windowed_report(small, W, exact, psd_tol, not_psd_tol):
@@ -229,10 +321,12 @@ def _windowed_report(small, W, exact, psd_tol, not_psd_tol):
 
 def square_window(phi: Symbol, W: int):
     """Exact W-window of T_Phi^2 via T_{Phi^2} - H_{Phi*}* H_Phi."""
-    T2 = toeplitz_window(phi * phi, W).block
-    Hs = hankel_window(phi.star(), W).block
-    H = hankel_window(phi, W).block
-    return T2 - Hs.conj().T @ H
+    S = toeplitz_window(phi * phi, W).block
+    Hs = _hankel_corner(phi.star(), W)
+    H = _hankel_corner(phi, W)
+    c = min(len(Hs), len(H))  # Hs* H sums over the rows where both corners are nonzero
+    S[: len(Hs), : len(H)] -= Hs[:c].conj().T @ H[:c]
+    return S
 
 
 def square_hypo_window(phi: Symbol, W: int, psd_tol=PSD_TOL,
@@ -241,17 +335,21 @@ def square_hypo_window(phi: Symbol, W: int, psd_tol=PSD_TOL,
 
     T^2 is banded-plus-finite-rank, so the commutator window is exact
     after inflation; the verdict contract matches k_hypo_window.
+    [T^{*2}, T^2] is block (2, 2) of the k = 2 matrix there, so the same
+    support corner W* (with k = 2) and the same decision apply.
     """
     bw = phi.bandwidth()
     if W < 2 * bw + 1:
         raise ValueError(f"window {W} too small for squared bandwidth {2 * bw}")
-    small, _, outside = _doubling(_square_commutator(phi, 2 * W), 1, phi.n * W)
-    return _windowed_report(small, W, outside <= EXACT_TOL, psd_tol, not_psd_tol)
+    return _decide_window(lambda V: _square_commutator(phi, V), 1, phi.n, W,
+                          _support_window(phi, 2), psd_tol, not_psd_tol)
 
 
 def _square_commutator(phi: Symbol, W: int):
     """Exact W-window of [T^2*, T^2]: products on a window inflated past the squared bandwidth."""
-    S = square_window(phi, W + 4 * phi.bandwidth() + 4)
+    B = W + 4 * phi.bandwidth() + 4
+    _refuse_over_budget(phi.n, 1, W, B)
+    S = square_window(phi, B)
     nW = phi.n * W
     return S[:, :nW].conj().T @ S[:, :nW] - S[:nW] @ S[:nW].conj().T
 

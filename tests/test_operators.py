@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
+from blocktoeplitz import operators as op
 from blocktoeplitz.operators import (
     completion_selfadjoint_part,
     hankel_window,
@@ -231,3 +233,110 @@ def test_windows_match_block_definitions_on_gap_symbols():
             for j in range(W):
                 np.testing.assert_array_equal(T[i * n : (i + 1) * n, j * n : (j + 1) * n], phi.coeff(i - j))
                 np.testing.assert_array_equal(H[i * n : (i + 1) * n, j * n : (j + 1) * n], phi.coeff(-i - j - 1))
+
+
+# -- windows decided on their support corner W* = k(bw + m + N) ---------------------------
+
+E12 = np.array([[0, 1], [0, 0]], dtype=complex)
+GAP = Symbol(2, {-1: np.eye(2), -2: X, 2: 2 * X})  # hyponormal, not 2-hyponormal
+NONNORMAL = Symbol(2, {-1: E12, 1: 2 * np.eye(2)})  # E12 zbar + 2z I
+
+
+def normal_symbol(rng, kind):
+    """Seeded normal symbols with m != N: scalar, U diag U*, analytic-only, co-analytic-only."""
+    degrees = {"scalar": (1, 2), "unitary": (2, 1), "analytic": (0, 3), "coanalytic": (3, 0)}[kind]
+    m, N = degrees
+    if kind == "scalar":
+        return Symbol.scalar({j: complex(*rng.normal(size=2)) for j in range(-m, N + 1)})
+    U, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    return Symbol(2, {j: U @ np.diag(rng.normal(size=2) + 1j * rng.normal(size=2)) @ U.conj().T
+                      for j in range(-m, N + 1)})
+
+
+def support_corner(phi, k):
+    m, N = phi.degree_bounds()
+    return k * (max(m, N) + m + N)
+
+
+def assert_matches_full_window(rep, full, W):
+    """Verdict and lambda_min of the full W-window, and a witness of that window's order."""
+    ref = positivity_report(full, W)
+    assert rep.verdict == ref.verdict and rep.window == W
+    assert abs(rep.min_eigenvalue - ref.min_eigenvalue) <= 1e-9 * max(1.0, abs(ref.min_eigenvalue))
+    if rep.witness is not None:
+        assert rep.witness.shape == (full.shape[0],)
+        Hm = 0.5 * (full + full.conj().T)
+        assert np.linalg.norm(Hm @ rep.witness - rep.min_eigenvalue * rep.witness) <= 1e-8
+
+
+@pytest.mark.parametrize("kind", ["scalar", "unitary", "analytic", "coanalytic"])
+def test_k_hypo_above_support_corner_matches_full_window(kind):
+    rng = np.random.default_rng(40)
+    for k in (1, 2, 3, 4):
+        phi = normal_symbol(rng, kind)
+        W = support_corner(phi, k) + 3
+        rep = k_hypo_window(phi, k, W)
+        assert rep.exact
+        assert_matches_full_window(rep, op._power_commutators(phi, k, W), W)
+
+
+@pytest.mark.parametrize("kind", ["scalar", "unitary", "analytic", "coanalytic"])
+def test_square_hypo_above_support_corner_matches_full_window(kind):
+    phi = normal_symbol(np.random.default_rng(41), kind)
+    W = support_corner(phi, 2) + 5
+    rep = square_hypo_window(phi, W)
+    assert rep.exact
+    assert_matches_full_window(rep, op._square_commutator(phi, W), W)
+
+
+def test_nonnormal_symbol_is_assembled_at_the_window_and_not_exact():
+    for k, W in ((1, 9), (2, 12)):
+        rep = k_hypo_window(NONNORMAL, k, W)
+        assert not rep.exact
+        assert_matches_full_window(rep, op._power_commutators(NONNORMAL, k, W), W)
+    rep = square_hypo_window(NONNORMAL, 14)
+    assert not rep.exact
+    assert_matches_full_window(rep, op._square_commutator(NONNORMAL, 14), 14)
+
+
+def test_certified_path_solves_only_the_support_corner(monkeypatch):
+    orders = []
+    eigh = scipy.linalg.eigh
+
+    def recording_eigh(a, *args, **kwargs):
+        orders.append(a.shape[0])
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", recording_eigh)
+    for k in (1, 2, 3, 4):
+        orders.clear()
+        rep = k_hypo_window(GAP, k, 64)
+        assert rep.exact and orders
+        assert max(orders) <= k * 2 * support_corner(GAP, k)
+    orders.clear()
+    rep = square_hypo_window(Symbol.scalar({-1: 1, 1: 2}), 256)
+    assert rep.exact and rep.verdict == "NotPSD"
+    assert max(orders) <= support_corner(Symbol.scalar({-1: 1, 1: 2}), 2)
+
+
+def test_huge_window_refused_unless_decided_on_the_corner():
+    with pytest.raises(ValueError, match="budget"):
+        k_hypo_window(NONNORMAL, 2, 10**5)
+    with pytest.raises(ValueError, match="budget"):
+        square_hypo_window(NONNORMAL, 10**5)
+    rep = k_hypo_window(GAP, 2, 10**5)
+    assert rep.verdict == "NotPSD" and rep.exact
+    assert rep.witness.shape == (2 * 2 * 10**5,)
+    assert abs(rep.min_eigenvalue - k_hypo_window(GAP, 2, 10).min_eigenvalue) <= 1e-9
+
+
+def test_corner_hankel_products_match_dense_products():
+    rng = np.random.default_rng(42)
+    for m, N, W in ((3, 1, 6), (1, 3, 6), (4, 2, 3), (0, 2, 4)):
+        phi = random_symbol(rng, n=2, m=m, N=N)
+        Hs = hankel_window(phi.star(), W).block
+        H = hankel_window(phi, W).block
+        np.testing.assert_allclose(pseudo_selfcommutator(phi, W).block,
+                                   Hs.conj().T @ Hs - H.conj().T @ H, atol=1e-12)
+        np.testing.assert_allclose(op.square_window(phi, W),
+                                   toeplitz_window(phi * phi, W).block - Hs.conj().T @ H, atol=1e-12)
