@@ -290,9 +290,8 @@ def _assemble_interpolant(nodes, Kdata, n):
         shift_pow = np.array([1.0 + 0.0j])
         for j in range(m):
             term = mul_ascending(shift_pow, p)
-            for t, c in enumerate(term):
-                if t < d:
-                    acc[t] += Kprime[j] * c
+            L = min(len(term), d)
+            acc[:L] += Kprime[j] * term[:L, None, None]  # this operand order keeps the loop's bits
             shift_pow = mul_ascending(shift_pow, np.array([-alpha, 1.0]))
     return Symbol.from_coeffs(0, acc)
 

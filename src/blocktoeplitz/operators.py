@@ -14,9 +14,10 @@ self-commutator are supported in a corner of W* = k(bw + m + N) modes
 corner: the doubling test at (W*, 2W*) certifies it, the W-window is its
 zero padding, and the witness is padded back to the W-window's length.
 When the doubling fails there, the symbol is numerically non-normal, no
-window is exact, and the W-window is assembled once.  A k-step or
-squared window whose dense assembly would exceed MAX_WINDOW_BYTES is
-refused with a ValueError before anything is allocated.
+window is exact, and the W-window is assembled once.  A self-commutator,
+k-step or squared window whose dense assembly would exceed
+MAX_WINDOW_BYTES is refused with a ValueError before anything is
+allocated.
 """
 
 from __future__ import annotations
@@ -139,22 +140,29 @@ def selfcommutator_exact(phi: Symbol, W: int | None = None) -> WindowedOperator:
     At W = m + N + 1 the Hankel quadratic forms are fully inside the
     window; the Toeplitz term vanishes exactly when the symbol is normal,
     in which case the window is certified exact by the doubling test.
+    The adjoint and the commutator symbol are formed once for both
+    windows.  A window whose dense assembly would exceed MAX_WINDOW_BYTES
+    is refused with a ValueError before anything is allocated.
     """
     m, N = phi.degree_bounds()
     if W is None:
         W = m + N + 1
-    base, agree, outside = _doubling(_selfcommutator_window(phi, 2 * W), 1, phi.n * W,
-                                     small=_selfcommutator_window(phi, W))
+    # the count of a k = 1 window inflated to B = 2W: the Hankel difference and the Toeplitz
+    # window at 2W, then eight of order nW (their sum, the W-window's three, temporaries)
+    _refuse_over_budget(phi.n, 1, W, 2 * W)
+    star = phi.star()
+    delta = star * phi - phi * star
+    base, agree, outside = _doubling(_selfcommutator_window(phi, star, delta, 2 * W), 1, phi.n * W,
+                                     small=_selfcommutator_window(phi, star, delta, W))
     if not agree:
         raise ArithmeticError("doubling test failed: window entries unstable (non-polynomial input?)")
     exact = outside <= EXACT_TOL
     return WindowedOperator(W, phi.n, base, exact=exact, tail_bound=0.0 if exact else outside)
 
 
-def _selfcommutator_window(phi: Symbol, W: int):
-    out = pseudo_selfcommutator(phi, W).block
-    star = phi.star()
-    delta = star * phi - phi * star
+def _selfcommutator_window(phi: Symbol, star: Symbol, delta: Symbol, W: int):
+    """W-window of [T*, T], given star = Phi* and delta = Phi* Phi - Phi Phi*."""
+    out = _hankel_difference(phi, star, W)
     if not delta.is_zero():
         out = out + toeplitz_window(delta, W).block
     return out
@@ -165,12 +173,17 @@ def pseudo_selfcommutator(phi: Symbol, W: int | None = None) -> WindowedOperator
     m, N = phi.degree_bounds()
     if W is None:
         W = m + N + 1
-    Hs = _hankel_corner(phi.star(), W)
+    return WindowedOperator(W, phi.n, _hankel_difference(phi, phi.star(), W), exact=(W >= max(m, N)))
+
+
+def _hankel_difference(phi: Symbol, star: Symbol, W: int):
+    """H_{Phi*}* H_{Phi*} - H_Phi* H_Phi on the W-window, from the nonzero Hankel corners."""
+    Hs = _hankel_corner(star, W)
     H = _hankel_corner(phi, W)
     out = np.zeros((phi.n * W, phi.n * W), dtype=complex)
     out[: len(Hs), : len(Hs)] = Hs.conj().T @ Hs
     out[: len(H), : len(H)] -= H.conj().T @ H
-    return WindowedOperator(W, phi.n, out, exact=(W >= max(m, N)))
+    return out
 
 
 def _hankel_corner(phi: Symbol, W: int):

@@ -9,8 +9,10 @@ here are used in two regimes:
 * circle reflections f*(z) = conj(f(1/conj(z))), whose poles sit inside
   the disk and encode the inner parts of co-analytic entries.
 
-Coefficient arithmetic is plain numpy polynomial algebra; degrees in
-this problem domain stay in the single digits.
+Arithmetic is `np.convolve` on the stored ascending coefficient arrays
+(the convolution of reversed sequences is the reversed convolution, so
+no reversal and no `poly1d` round trip is needed); degrees in this
+problem domain stay in the single digits.
 """
 
 from __future__ import annotations
@@ -22,16 +24,16 @@ DROP_TOL = 1e-12
 
 def _trim(c):
     """Strip trailing (top-degree) coefficients below DROP_TOL."""
-    c = np.atleast_1d(np.asarray(c, dtype=complex))
+    c = np.array(c, dtype=complex, ndmin=1)
     nz = np.nonzero(np.abs(c) > DROP_TOL)[0]
     if len(nz) == 0:
         return np.zeros(1, dtype=complex)
-    return c[: nz[-1] + 1].copy()
+    return c[: nz[-1] + 1]
 
 
 def mul_ascending(a, b):
     """Product of two ascending-coefficient polynomials, ascending out."""
-    return np.polymul(np.asarray(a, dtype=complex)[::-1], np.asarray(b, dtype=complex)[::-1])[::-1]
+    return np.convolve(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
 def polyval_ascending(c, z):
@@ -91,12 +93,12 @@ class RationalFn:
     # -- arithmetic ------------------------------------------------------
     def __add__(self, other):
         other = _as_rational(other)
-        num = np.polyadd(
-            np.polymul(self.num[::-1], other.den[::-1]),
-            np.polymul(other.num[::-1], self.den[::-1]),
-        )[::-1]
-        den = np.polymul(self.den[::-1], other.den[::-1])[::-1]
-        return RationalFn(num, den)
+        a = np.convolve(self.num, other.den)
+        b = np.convolve(other.num, self.den)
+        num = np.zeros(max(len(a), len(b)), dtype=complex)
+        num[: len(a)] += a
+        num[: len(b)] += b
+        return RationalFn(num, np.convolve(self.den, other.den))
 
     __radd__ = __add__
 
@@ -111,9 +113,7 @@ class RationalFn:
 
     def __mul__(self, other):
         other = _as_rational(other)
-        num = np.polymul(self.num[::-1], other.num[::-1])[::-1]
-        den = np.polymul(self.den[::-1], other.den[::-1])[::-1]
-        return RationalFn(num, den)
+        return RationalFn(np.convolve(self.num, other.num), np.convolve(self.den, other.den))
 
     __rmul__ = __mul__
 
@@ -121,9 +121,7 @@ class RationalFn:
         other = _as_rational(other)
         if other.is_zero():
             raise ZeroDivisionError("division by zero rational function")
-        num = np.polymul(self.num[::-1], other.den[::-1])[::-1]
-        den = np.polymul(self.den[::-1], other.num[::-1])[::-1]
-        return RationalFn(num, den)
+        return RationalFn(np.convolve(self.num, other.den), np.convolve(self.den, other.num))
 
     # -- analysis ----------------------------------------------------------
     def __call__(self, z):

@@ -208,3 +208,44 @@ def test_defect_spectrum_invariant_under_zero_reordering():
     s1 = spectrum(zeros)
     s2 = spectrum(zeros[::-1])
     np.testing.assert_allclose(s1, s2, atol=1e-10)
+
+
+def test_assemble_interpolant_matches_the_coefficient_loop():
+    from blocktoeplitz.modelspace import _assemble_interpolant, _scalar_jets
+    from blocktoeplitz.rational import mul_ascending
+
+    def loop_form(nodes, Kdata, n):
+        d = sum(m for _, m in nodes)
+        acc = np.zeros((d, n, n), dtype=complex)
+        for i, (alpha, m) in enumerate(nodes):
+            p = np.array([1.0 + 0.0j])
+            for k, (beta, mk) in enumerate(nodes):
+                if k != i:
+                    for _ in range(mk):
+                        p = mul_ascending(p, np.array([-beta, 1.0]) / (alpha - beta))
+            pjets = _scalar_jets(p, alpha, m)
+            Kprime = []
+            for j in range(m):
+                Kp = Kdata[i][j].copy()
+                for k in range(j):
+                    Kp -= Kprime[k] * pjets[j - k]
+                Kprime.append(Kp)
+            shift_pow = np.array([1.0 + 0.0j])
+            for j in range(m):
+                for t, c in enumerate(mul_ascending(shift_pow, p)):
+                    if t < d:
+                        acc[t] += Kprime[j] * c
+                shift_pow = mul_ascending(shift_pow, np.array([-alpha, 1.0]))
+        return Symbol.from_coeffs(0, acc)
+
+    rng = np.random.default_rng(21)
+    for _ in range(20):
+        n = int(rng.integers(1, 3))
+        count = int(rng.integers(1, 4))
+        nodes = [(complex(rng.normal(), rng.normal()) * 0.3, int(rng.integers(1, 4))) for _ in range(count)]
+        Kdata = [[rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) for _ in range(m)]
+                 for _, m in nodes]
+        d = sum(m for _, m in nodes)
+        got = _assemble_interpolant(nodes, Kdata, n).coeffs(0, d - 1)
+        want = loop_form(nodes, Kdata, n).coeffs(0, d - 1)
+        assert np.array_equal(got, want)

@@ -340,3 +340,37 @@ def test_corner_hankel_products_match_dense_products():
                                    Hs.conj().T @ Hs - H.conj().T @ H, atol=1e-12)
         np.testing.assert_allclose(op.square_window(phi, W),
                                    toeplitz_window(phi * phi, W).block - Hs.conj().T @ H, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_selfcommutator_is_hankel_difference_plus_toeplitz_term(n, monkeypatch):
+    rng = np.random.default_rng(30 + n)
+    mul = Symbol.__mul__
+    calls = []
+
+    def counting_mul(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    for m, N in ((1, 2), (2, 1), (3, 3), (0, 2)):
+        phi = random_symbol(rng, n=n, m=m, N=N)
+        star = phi.star()
+        delta = star * phi - phi * star
+        W = m + N + 1
+        monkeypatch.setattr(Symbol, "__mul__", counting_mul)
+        calls.clear()
+        com = selfcommutator_exact(phi)
+        monkeypatch.setattr(Symbol, "__mul__", mul)
+        assert len(calls) == 2
+        np.testing.assert_allclose(
+            com.block, pseudo_selfcommutator(phi, W).block + toeplitz_window(delta, W).block,
+            rtol=0, atol=1e-12)
+
+
+def test_selfcommutator_huge_window_refused_up_front():
+    phi = Symbol.scalar({-1: 1, 1: 2})
+    with pytest.raises(ValueError, match=r"window 100000 .*n=1.*GiB.*budget"):
+        selfcommutator_exact(phi, 10**5)
+    com = selfcommutator_exact(phi)
+    assert com.window == 3 and com.exact
+    np.testing.assert_allclose(com.block, np.diag([3.0, 0.0, 0.0]), atol=1e-12)

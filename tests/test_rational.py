@@ -96,3 +96,51 @@ def test_fourier_rejects_interior_pole():
 def test_poly_from_roots():
     c = poly_from_roots([1.0, -1.0], lead=2.0)
     np.testing.assert_allclose(c, [-2.0, 0.0, 2.0], atol=1e-12)
+
+
+def _random_fn(rng, roots_outside=False):
+    """Degree 0-5 numerator over a degree 0-5 denominator, poles (and roots) outside |z| = 1.5."""
+
+    def roots(deg):
+        return 1.5 + 1.5 * rng.random(deg) * np.exp(2j * np.pi * rng.random(deg))
+
+    dp, dq = (int(d) for d in rng.integers(0, 6, size=2))
+    lead = complex(rng.normal(), rng.normal())
+    if roots_outside:
+        num = poly_from_roots(roots(dp), lead=lead)
+    else:
+        num = rng.normal(size=dp + 1) + 1j * rng.normal(size=dp + 1)
+    return RationalFn(num, poly_from_roots(roots(dq)))
+
+
+def test_arithmetic_matches_pointwise_evaluation():
+    rng = np.random.default_rng(11)
+    z = 0.9 * np.sqrt(rng.random(20)) * np.exp(2j * np.pi * rng.random(20))
+    for _ in range(50):
+        f = _random_fn(rng)
+        g = _random_fn(rng, roots_outside=True)
+        fz, gz = f(z), g(z)
+        for got, want in ((f + g, fz + gz), (f - g, fz - gz), (f * g, fz * gz), (f / g, fz / gz)):
+            np.testing.assert_allclose(got(z), want, rtol=1e-10, atol=0)
+
+
+def test_mul_ascending_is_the_cauchy_product():
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        la, lb = (int(d) for d in rng.integers(1, 7, size=2))
+        a = rng.normal(size=la) + 1j * rng.normal(size=la)
+        b = rng.normal(size=lb) + 1j * rng.normal(size=lb)
+        want = np.zeros(la + lb - 1, dtype=complex)
+        for i in range(la):
+            for j in range(lb):
+                want[i + j] += a[i] * b[j]
+        np.testing.assert_allclose(mul_ascending(a, b), want, rtol=0, atol=1e-13)
+
+
+def test_common_root_cancels_to_degree_one_over_one():
+    rng = np.random.default_rng(13)
+    for _ in range(10):
+        a, b = rng.normal(size=2) + 1j * rng.normal(size=2)
+        f = RationalFn(mul_ascending([-a, 1.0], [-b, 1.0]), [-a, 1.0])
+        assert f.degree_num() == 1 and len(f.den) == 1
+        np.testing.assert_allclose(f.num / f.den[0], [-b, 1.0], atol=1e-10)
