@@ -4,17 +4,12 @@ Toeplitz operators with scalar or matrix rational symbols."""
 from .symbols import (
     Symbol,
     RationalSymbol,
-    fourier_coeff,
-    split,
-    tilde,
-    multiply,
     is_normal_symbol,
     sup_norm,
 )
 from .rational import RationalFn
 from .blaschke import (
     BlaschkeProduct,
-    blaschke_eval,
     gcd_lcm,
     divides,
     coanalytic_decompose,

@@ -122,10 +122,6 @@ class BlaschkeProduct:
         return cls(1.0, [(0.0, k)]) if k > 0 else cls.one()
 
 
-def blaschke_eval(theta: BlaschkeProduct, z):
-    return theta(z)
-
-
 def _pair_zeros(t1: BlaschkeProduct, t2: BlaschkeProduct):
     """Greedy nearest pairing of the two zero sets within MATCH_TOL."""
     pairs = []

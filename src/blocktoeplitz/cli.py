@@ -196,41 +196,30 @@ def _exit_for(tag):
     return EXIT_DECIDED if tag in _DECIDED_TAGS else EXIT_UNDECIDED
 
 
-def _apply_grid(args):
-    if getattr(args, "grid", None):
-        ms.set_default_grid(args.grid)
-
-
 def cmd_check_hyponormal(args):
-    _apply_grid(args)
     phi = load_symbol(args)
     v = dc.decide_hyponormal(phi, contract_tol=args.tol_contract)
     _emit(v.to_json_dict(), args)
     return _exit_for(v.tag)
 
 
-def cmd_check_k(args):
-    phi = load_symbol(args)
-    rep = op.k_hypo_window(phi, args.k, args.window, psd_tol=args.tol_psd)
+def _emit_window(rep, args):
+    """Emit a window verdict; a PSD window without exact support is only consistent up to it."""
     payload = rep.to_json_dict()
     if rep.verdict == "PSD" and not rep.exact:
         payload["verdict"] = "ConsistentUpToWindow"
     _emit(payload, args)
-    if payload["verdict"] in ("NotPSD", "PSD"):
-        return EXIT_DECIDED
-    return EXIT_UNDECIDED
+    return EXIT_DECIDED if payload["verdict"] in ("NotPSD", "PSD") else EXIT_UNDECIDED
+
+
+def cmd_check_k(args):
+    phi = load_symbol(args)
+    return _emit_window(op.k_hypo_window(phi, args.k, args.window, psd_tol=args.tol_psd), args)
 
 
 def cmd_check_square(args):
     phi = load_symbol(args)
-    rep = op.square_hypo_window(phi, args.window, psd_tol=args.tol_psd)
-    payload = rep.to_json_dict()
-    if rep.verdict == "PSD" and not rep.exact:
-        payload["verdict"] = "ConsistentUpToWindow"
-    _emit(payload, args)
-    if payload["verdict"] in ("NotPSD", "PSD"):
-        return EXIT_DECIDED
-    return EXIT_UNDECIDED
+    return _emit_window(op.square_hypo_window(phi, args.window, psd_tol=args.tol_psd), args)
 
 
 def cmd_classify(args):
@@ -339,25 +328,25 @@ def build_parser():
         if symbol:
             sp.add_argument("symbol", nargs="?", help="path to a symbol JSON file")
             sp.add_argument("--phi", help="scalar symbol expression, e.g. 'zbar+2z'")
-        sp.add_argument("--window", type=int, default=16)
-        sp.add_argument("--tol-psd", type=float, default=op.PSD_TOL)
-        sp.add_argument("--tol-contract", type=float, default=dc.CONTRACT_TOL)
-        sp.add_argument("--grid", type=int, default=ms.GRID_START)
-        sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--format", choices=["json", "csv"], default="json")
         sp.add_argument("--out", help="write output to this file")
 
     sp = sub.add_parser("check-hyponormal", help="full hyponormality decision")
     add_common(sp)
+    sp.add_argument("--tol-contract", type=float, default=dc.CONTRACT_TOL)
     sp.set_defaults(func=cmd_check_hyponormal)
 
     sp = sub.add_parser("check-k", help="k-hyponormality window test")
     add_common(sp)
+    sp.add_argument("--window", type=int, default=16)
+    sp.add_argument("--tol-psd", type=float, default=op.PSD_TOL)
     sp.add_argument("--k", type=int, default=2)
     sp.set_defaults(func=cmd_check_k)
 
     sp = sub.add_parser("check-square", help="hyponormality of the square, windowed")
     add_common(sp)
+    sp.add_argument("--window", type=int, default=16)
+    sp.add_argument("--tol-psd", type=float, default=op.PSD_TOL)
     sp.set_defaults(func=cmd_check_square)
 
     sp = sub.add_parser("classify", help="normal-or-analytic classification")
@@ -368,13 +357,15 @@ def build_parser():
                         "double conjugate-shift corner")
     sp.add_argument("--phi", required=True)
     sp.add_argument("--psi", required=True)
+    sp.add_argument("--window", type=int, default=24)
     add_common(sp, symbol=False)
-    sp.set_defaults(func=cmd_complete_ustar, window=24)
+    sp.set_defaults(func=cmd_complete_ustar)
 
     sp = sub.add_parser("no-completion", help="hyponormal completion impossibility "
                         "for the mixed shift corner")
     sp.add_argument("--phi", required=True)
     sp.add_argument("--psi", required=True)
+    sp.add_argument("--window", type=int, default=16)
     add_common(sp, symbol=False)
     sp.set_defaults(func=cmd_no_completion)
 
@@ -390,6 +381,7 @@ def build_parser():
     sp.add_argument("what", choices=["model", "defect", "witness",
                                      "completion-residual", "eig-sweep"])
     add_common(sp)
+    sp.add_argument("--window", type=int, default=16)  # for `witness`
     sp.add_argument("--k", type=int, default=2)
     sp.add_argument("--zeros", help="JSON list of model zeros, e.g. '[0, 0]'")
     sp.add_argument("--windows", default="8,16,32,64")
@@ -403,7 +395,8 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:
-        return int(e.code or 0)
+        # --help exits 0; argparse's usage-error code 2 would read as "undecided" here
+        return EXIT_INPUT if e.code else EXIT_DECIDED
     try:
         return args.func(args)
     except (ArithmeticError, np.linalg.LinAlgError) as e:

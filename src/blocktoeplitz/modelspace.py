@@ -4,12 +4,17 @@ The compressed shift on the model space of a finite Blaschke product
 theta (degree d) is represented by a d x d lower-triangular matrix whose
 entries follow a closed-form product rule; an independent quadrature
 compression of multiplication operators onto the model-space basis
-arbitrates that rule and the matrix functional calculus.
+arbitrates that rule and the matrix functional calculus.  Its circle
+grid starts at GRID_START points and doubles up to the constant GRID_CAP.
+
+The interpolation solver works node by node on the block lower-triangular
+jet systems sum_l K_l A_{j-l} = B_j: forward substitution when A_0 is
+invertible, else least squares on the row-major vec of the K_l, where
+vec(K A) = (I kron A^T) vec(K).
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,22 +26,6 @@ from .symbols import Symbol
 GRID_START = 512
 GRID_CAP = 16384
 QUAD_TOL = 1e-9
-
-
-_default_grid_start = GRID_START
-
-
-def set_default_grid(start):
-    """Override the starting quadrature grid (CLI --grid plumbing)."""
-    global _default_grid_start
-    _default_grid_start = max(2, int(start))
-
-
-def _grid_cap():
-    env = os.environ.get("BLOCKTOEPLITZ_MAX_GRID")
-    if env:
-        return max(GRID_START, int(env))
-    return GRID_CAP
 
 
 @dataclass
@@ -139,25 +128,23 @@ def eval_poly_at_contraction(P, M, tail_tol=1e-12, max_terms=2000):
     return out
 
 
-def compression_oracle(P, theta: BlaschkeProduct, tol=QUAD_TOL, grid=None):
+def compression_oracle(P, theta: BlaschkeProduct, tol=QUAD_TOL, grid=GRID_START):
     """Quadrature matrix of the compressed multiplication operator.
 
-    Entries <P phi_j e_s, phi_k e_r> on an equispaced circle grid,
-    doubled until the entrywise change is below tol.  This is the
-    independent arbiter for build_M and poly_of_M.
+    Entries <P phi_j e_s, phi_k e_r> on an equispaced circle grid of
+    `grid` points, doubled until the entrywise change is below tol or
+    the grid would pass GRID_CAP.  This is the independent arbiter for
+    build_M and poly_of_M.
     """
-    cap = _grid_cap()
-    if grid is None:
-        grid = _default_grid_start
     prev = _compress_on_grid(P, theta, grid)
     g = grid * 2
-    while g <= cap:
+    while g <= GRID_CAP:
         cur = _compress_on_grid(P, theta, g)
         if np.max(np.abs(cur - prev)) < tol:
             return cur
         prev = cur
         g *= 2
-    raise ArithmeticError(f"quadrature did not converge below {tol} within grid cap {cap}")
+    raise ArithmeticError(f"quadrature did not converge below {tol} within grid cap {GRID_CAP}")
 
 
 def _compress_on_grid(P, theta, g):
@@ -243,13 +230,13 @@ def _solve_node_lsq(A, B, n, rcond):
     """Least-squares solve of the stacked node system for the K_{i,j}."""
     m = len(A)
     # unknown x = [vec(K_0); ...; vec(K_{m-1})], vec row-major
-    # equation j: sum_l K_l A_{j-l} = B_j  ->  (A_{j-l}^T kron I_n) vec(K_l)
+    # equation j: sum_l K_l A_{j-l} = B_j  ->  (I_n kron A_{j-l}^T) vec(K_l)
     rows = []
     for j in range(m):
         blocks = []
         for l in range(m):
             if 0 <= j - l < m:
-                blocks.append(np.kron(A[j - l].T, np.eye(n)))
+                blocks.append(np.kron(np.eye(n), A[j - l].T))
             else:
                 blocks.append(np.zeros((n * n, n * n), dtype=complex))
         rows.append(np.hstack(blocks))

@@ -17,7 +17,7 @@ When the doubling fails there, the symbol is numerically non-normal, no
 window is exact, and the W-window is assembled once.  A self-commutator,
 k-step or squared window whose dense assembly would exceed
 MAX_WINDOW_BYTES is refused with a ValueError before anything is
-allocated.
+allocated, and so is a normal non-Toeplitz completion window.
 """
 
 from __future__ import annotations
@@ -43,11 +43,6 @@ class WindowedOperator:
     n: int  # matrix size of the symbol
     block: np.ndarray  # (n*window) x (n*window)
     exact: bool = False  # quadratic form supported inside the window
-    tail_bound: float = 0.0
-
-    @property
-    def shape(self):
-        return self.block.shape
 
 
 @dataclass
@@ -156,8 +151,7 @@ def selfcommutator_exact(phi: Symbol, W: int | None = None) -> WindowedOperator:
                                      small=_selfcommutator_window(phi, star, delta, W))
     if not agree:
         raise ArithmeticError("doubling test failed: window entries unstable (non-polynomial input?)")
-    exact = outside <= EXACT_TOL
-    return WindowedOperator(W, phi.n, base, exact=exact, tail_bound=0.0 if exact else outside)
+    return WindowedOperator(W, phi.n, base, exact=outside <= EXACT_TOL)
 
 
 def _selfcommutator_window(phi: Symbol, star: Symbol, delta: Symbol, W: int):
@@ -378,18 +372,27 @@ def completion_selfadjoint_part(W: int):
 
     D = diag(0, a_1, a_2, ...) and C_{i, i+2n} = -a_{i+1} / 2^{n-1} with
     a_m = -(2/3)(1 - (-1/2)^m); these entries satisfy the commutation
-    identity [T_z, B] = [T_zbar, B] exactly, entry by entry.
+    identity [T_z, B] = [T_zbar, B] exactly, entry by entry.  Refused
+    with a ValueError when its four W x W arrays (D, C, D + C and the
+    result) would exceed MAX_WINDOW_BYTES.
     """
+    _refuse_completion_over_budget(W, 4)
     a = np.array([_alpha_formula(m) for m in range(1, W + 1)])
-    B = np.zeros((W, W))
-    for i in range(1, W):
-        B[i, i] = a[i - 1]
+    B = np.diag(np.r_[0.0, a[:-1]])
     C = np.zeros((W, W))
     for nshift in range(1, W // 2 + 1):
         off = 2 * nshift
-        for i in range(W - off):
-            C[i, i + off] = -a[i] / 2.0 ** (nshift - 1)
+        i = np.arange(W - off)
+        C[i, i + off] = np.ldexp(-a[: W - off], 1 - nshift)  # exact; 2.0**n overflows past n = 1023
     return B + C + C.T, C
+
+
+def _refuse_completion_over_budget(W, arrays):
+    """Raise ValueError when `arrays` real W x W arrays would exceed MAX_WINDOW_BYTES."""
+    nbytes = 8 * arrays * W * W
+    if nbytes > MAX_WINDOW_BYTES:
+        raise ValueError(f"completion window {W} needs about {nbytes / 2**30:.3g} GiB, "
+                         f"over the {MAX_WINDOW_BYTES / 2**30:.3g} GiB budget")
 
 
 def normal_nontoeplitz_completion(W: int):
@@ -399,9 +402,13 @@ def normal_nontoeplitz_completion(W: int):
     [[T_zbar, T_z + B], [T_z + B, T_zbar]] and residual is the largest
     entry of T_zbar B + B T_z - T_z B - B T_zbar over the interior
     sub-window [0, W - 2*log2(W)), where windowing effects cannot reach.
+    Refused with a ValueError when the ten W x W arrays it holds at once
+    (B, the shift, T_z + B, the 2W x 2W T, three products) would exceed
+    MAX_WINDOW_BYTES.
     """
     if W < 8:
         raise ValueError("window must be >= 8")
+    _refuse_completion_over_budget(W, 10)
     B, _ = completion_selfadjoint_part(W)
     S = np.diag(np.ones(W - 1), -1)  # forward shift window
     St = S.T

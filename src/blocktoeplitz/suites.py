@@ -58,17 +58,14 @@ def oracle_equivalence(cases=200, seed=0, max_deg=4):
         phi = random_scalar_trig(rng, max_deg=max_deg)
         verdict = dc.decide_hyponormal(phi)
         com = op.selfcommutator_exact(phi)
-        lam = float(np.linalg.eigvalsh(0.5 * (com.block + com.block.conj().T))[0])
-        scale = float(np.linalg.norm(com.block, 2))
-        psd = lam >= -1e-9 * (1.0 + scale)
-        agree = (verdict.tag == "Hyponormal") == psd
+        rep = op.positivity_report(com.block, com.window, exact=com.exact)
+        agree = (verdict.tag == "Hyponormal") == (rep.verdict == "PSD")
         if verdict.tag == "Hyponormal" and agree:
             # ranks must match as well
-            rank_exact = int(np.sum(np.linalg.eigvalsh(
-                0.5 * (com.block + com.block.conj().T)) > 1e-8))
-            agree = rank_exact == verdict.rank_defect
+            vals = np.linalg.eigvalsh(0.5 * (com.block + com.block.conj().T))
+            agree = int(np.sum(vals > dc.RANK_TOL)) == verdict.rank_defect
         ok = ok and agree
-        rows.append([c, scalar_symbol_str(phi), verdict.tag, f"{lam:.12e}", agree])
+        rows.append([c, scalar_symbol_str(phi), verdict.tag, f"{rep.min_eigenvalue:.12e}", agree])
     return rows, ok
 
 

@@ -7,9 +7,11 @@ Cauchy product / coefficientwise work on that array, with a global drop
 tolerance: a coefficient whose largest entry is at most DROP_TOL counts
 as zero.
 
-Rational (non-polynomial) symbols enter as RationalPair grids, see
-`RationalSymbol`; their Fourier side is a truncated Symbol with a
-certified geometric tail below TAIL_TOL.
+Rational (non-polynomial) symbols enter as `RationalSymbol`: an n x n
+grid of (plus, minus) RationalFn pairs.  Their Fourier side, from
+`to_symbol`, is a truncated Symbol with a certified geometric tail below
+TAIL_TOL.  Coefficients, the split, the tilde involution and products
+are methods and operators of `Symbol` (`coeff`, `split`, `tilde`, `*`).
 """
 
 from __future__ import annotations
@@ -224,24 +226,6 @@ class Symbol:
         return f"Symbol(n={self.n}, support={self.support()})"
 
 
-# -- module-level operation surface --------------------------------------------
-
-def fourier_coeff(phi: Symbol, j: int):
-    return phi.coeff(j)
-
-
-def split(phi: Symbol):
-    return phi.split()
-
-
-def tilde(phi: Symbol):
-    return phi.tilde()
-
-
-def multiply(phi: Symbol, psi: Symbol):
-    return phi * psi
-
-
 def is_normal_symbol(phi: Symbol, tol=1e-9):
     """Whether Phi* Phi = Phi Phi* coefficientwise within tol."""
     if phi.n == 1:
@@ -265,15 +249,6 @@ def sup_norm(phi: Symbol, grid=None):
     t = 2 * np.pi * np.arange(grid) / grid
     vals = phi.eval_circle(t)
     return float(np.max(np.linalg.norm(vals, ord=2, axis=(1, 2))))
-
-
-def rational_to_scalar_symbol(plus: RationalFn, minus: RationalFn, tail_tol=TAIL_TOL):
-    """Scalar Symbol of conj(minus) + plus, truncating rational tails.
-
-    `plus` and `minus` are disk-analytic; `minus` is the analytic
-    representative of the co-analytic part (minus(0) = 0 expected).
-    """
-    return RationalSymbol(1, [[plus]], [[minus]]).to_symbol(tail_tol)
 
 
 def _prune(v):

@@ -14,7 +14,7 @@ from blocktoeplitz import modelspace as ms
 from blocktoeplitz import operators as op
 from blocktoeplitz import suites
 from blocktoeplitz.rational import RationalFn
-from blocktoeplitz.symbols import Symbol, rational_to_scalar_symbol, sup_norm
+from blocktoeplitz.symbols import RationalSymbol, Symbol, sup_norm
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 PHI_QUARTIC = Symbol.scalar({-2: 1, -1: 2, 1: 1, 2: 2})
@@ -51,7 +51,7 @@ def test_criterion_1_quartic_chain_exact():
 def test_criterion_2_membership_cross_check():
     t0 = time.monotonic()
     b = RationalFn([0.5, 1.0], [1.0, 0.5])
-    bsym = rational_to_scalar_symbol(b, RationalFn([0.0]))
+    bsym = RationalSymbol(1, [[b]], [[RationalFn([0.0])]]).to_symbol()
     assert dc.verify_in_C(PHI_QUARTIC, bsym)
     assert abs(sup_norm(bsym) - 1.0) <= 1e-9
     elapsed = time.monotonic() - t0

@@ -1,9 +1,11 @@
+import argparse
 import json
+import time
 
 import numpy as np
 import pytest
 
-from blocktoeplitz.cli import ExprError, main, parse_scalar_symbol
+from blocktoeplitz.cli import ExprError, build_parser, main, parse_scalar_symbol
 from blocktoeplitz.symbols import Symbol
 
 
@@ -138,15 +140,6 @@ def test_suite_seed_changes_output(tmp_path):
     assert f1.read_bytes() != f2.read_bytes()
 
 
-def test_max_grid_env(monkeypatch):
-    from blocktoeplitz import modelspace as ms
-
-    monkeypatch.setenv("BLOCKTOEPLITZ_MAX_GRID", "2048")
-    assert ms._grid_cap() == 2048
-    monkeypatch.delenv("BLOCKTOEPLITZ_MAX_GRID")
-    assert ms._grid_cap() == ms.GRID_CAP
-
-
 def test_marginal_exit_code(capsys, tmp_path):
     # an Inconclusive/Marginal-style verdict must not exit 0: use a symbol
     # that is consistent-up-to-window on the k test
@@ -184,8 +177,7 @@ def test_nonconvergent_quadrature_exits_undecided(capsys, monkeypatch):
     # the CLI reports undecided (2) rather than crashing or claiming input error
     import blocktoeplitz.modelspace as ms
 
-    monkeypatch.setattr(ms, "_grid_cap", lambda: 4)
-    monkeypatch.setattr(ms, "_default_grid_start", 2)
+    monkeypatch.setattr(ms, "GRID_CAP", 4)
     code = main(["suite", "model-identity", "--cases", "1", "--seed", "0"])
     assert code == 2
     assert "undecided" in capsys.readouterr().err
@@ -202,3 +194,47 @@ def test_solver_failure_exits_undecided(capsys, monkeypatch):
     code = main(["check-k", "--k", "2", "--window", "8", "--phi", "zbar+2z"])
     assert code == 2
     assert "undecided" in capsys.readouterr().err
+
+
+# every option each subcommand accepts, positionals by dest: a flag its handler
+# does not read must not come back unnoticed
+PARSER_OPTIONS = {
+    "check-hyponormal": ["symbol", "--phi", "--format", "--out", "--tol-contract"],
+    "check-k": ["symbol", "--phi", "--format", "--out", "--window", "--tol-psd", "--k"],
+    "check-square": ["symbol", "--phi", "--format", "--out", "--window", "--tol-psd"],
+    "classify": ["symbol", "--phi", "--format", "--out"],
+    "complete-ustar": ["--phi", "--psi", "--window", "--format", "--out"],
+    "no-completion": ["--phi", "--psi", "--window", "--format", "--out"],
+    "suite": ["name", "--cases", "--seed", "--out"],
+    "export": ["what", "symbol", "--phi", "--format", "--out", "--window", "--k", "--zeros",
+               "--windows"],
+}
+
+
+def test_parser_options_per_command():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    found = {name: sorted(a.option_strings[0] if a.option_strings else a.dest
+                          for a in sp._actions if not isinstance(a, argparse._HelpAction))
+             for name, sp in sub.choices.items()}
+    assert found == {name: sorted(opts) for name, opts in PARSER_OPTIONS.items()}
+    assert sum(map(len, found.values())) == 45
+    windows = {name: sp.get_default("window") for name, sp in sub.choices.items()
+               if "--window" in PARSER_OPTIONS[name]}
+    assert windows == {"check-k": 16, "check-square": 16, "complete-ustar": 24,
+                       "no-completion": 16, "export": 16}
+
+
+def test_usage_errors_exit_input(capsys):
+    # argparse exits 2 on a usage error, which here would read as "undecided"
+    assert main(["classify", "--phi", "2z", "--window", "8"]) == 1
+    assert main(["complete-ustar", "--phi", "z"]) == 1
+    assert main(["--help"]) == 0
+
+
+def test_completion_residual_window_over_budget(capsys):
+    t0 = time.monotonic()
+    code = main(["export", "completion-residual", "--windows", "100000"])
+    assert code == 1
+    assert time.monotonic() - t0 < 1.0
+    err = capsys.readouterr().err
+    assert "100000" in err and "GiB" in err

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.stats
+from hypothesis import given, settings, strategies as st
 
 from blocktoeplitz import decide as dc
 from blocktoeplitz import operators as op
@@ -13,7 +15,7 @@ from blocktoeplitz.decide import (
     verify_in_C,
 )
 from blocktoeplitz.rational import RationalFn
-from blocktoeplitz.symbols import Symbol, RationalSymbol, rational_to_scalar_symbol, sup_norm
+from blocktoeplitz.symbols import Symbol, RationalSymbol, sup_norm
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -67,7 +69,7 @@ def test_verify_in_C_quartic_members():
     assert verify_in_C(PHI_QUARTIC, K)
     # the unit-norm rational member
     b = RationalFn([0.5, 1.0], [1.0, 0.5])
-    bsym = rational_to_scalar_symbol(b, RationalFn([0.0]))
+    bsym = RationalSymbol(1, [[b]], [[RationalFn([0.0])]]).to_symbol()
     assert verify_in_C(PHI_QUARTIC, bsym)
     assert abs(sup_norm(bsym) - 1.0) <= 1e-9
     assert not verify_in_C(PHI_QUARTIC, Symbol.scalar({0: 0.0}))
@@ -266,3 +268,48 @@ def test_decide_singular_outer_factor_lsq_path():
     v = decide_hyponormal(phi)
     assert v.tag == "Hyponormal"
     assert any("least-squares" in s for s in v.notes)
+
+
+def _diagonal(p1, p2):
+    """(lo, c): the coefficient stack of diag(p1, p2) from degree lo."""
+    lo, hi = min(p1.lo, p2.lo), max(p1.hi, p2.hi)
+    c = np.zeros((hi - lo + 1, 2, 2), dtype=complex)
+    c[:, 0, 0] = p1.coeffs(lo, hi)[:, 0, 0]
+    c[:, 1, 1] = p2.coeffs(lo, hi)[:, 0, 0]
+    return lo, c
+
+
+def test_unitary_conjugated_diagonal_sweep():
+    # T of U diag(p1, p2) U* is unitarily equivalent to T_p1 + T_p2, so the scalar
+    # verdicts are ground truth; these symbols reach the singular-node least squares
+    rng = np.random.default_rng(7)
+    tags = []
+    for case in range(150):
+        p1 = suites.random_scalar_trig(rng, max_deg=3)
+        p2 = suites.random_scalar_trig(rng, max_deg=3)
+        U = scipy.stats.unitary_group.rvs(2, random_state=int(rng.integers(1 << 30)))
+        lo, c = _diagonal(p1, p2)
+        v = decide_hyponormal(Symbol.from_coeffs(lo, U @ c @ U.conj().T))
+        truth = all(decide_hyponormal(p).tag == "Hyponormal" for p in (p1, p2))
+        assert v.tag == ("Hyponormal" if truth else "NotHyponormal"), (case, v.notes)
+        tags.append(v.tag)
+    assert tags.count("Hyponormal") == 53
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), angle=st.floats(0.0, 2 * np.pi),
+       shift=st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False))
+def test_diagonal_verdict_invariant_under_equivalences(seed, angle, shift):
+    # conjugation by a constant unitary, adding a constant and z -> lambda z with
+    # |lambda| = 1 all leave T's self-commutator unitarily equivalent
+    rng = np.random.default_rng(seed)
+    lo, c = _diagonal(suites.random_scalar_trig(rng, max_deg=3),
+                      suites.random_scalar_trig(rng, max_deg=3))
+    U = scipy.stats.unitary_group.rvs(2, random_state=int(rng.integers(1 << 30)))
+    phi = Symbol.from_coeffs(lo, c)
+    rotation = np.exp(1j * angle) ** np.arange(lo, lo + len(c))
+    base = decide_hyponormal(phi)
+    for other in (Symbol.from_coeffs(lo, U @ c @ U.conj().T), phi + shift,
+                  Symbol.from_coeffs(lo, c * rotation[:, None, None])):
+        v = decide_hyponormal(other)
+        assert (v.tag, v.rank_defect) == (base.tag, base.rank_defect)

@@ -177,6 +177,24 @@ def test_hermite_fejer_lsq_flagged():
     assert K.lsq_nodes == [0]
 
 
+def test_hermite_fejer_singular_node_recovers_known_jets():
+    # B from known K_0..K_2 with a singular, non-diagonal A_0: the least-squares
+    # route must solve sum_l K_l A_{j-l} = B_j with K multiplying from the left
+    rng = np.random.default_rng(3)
+    cplx = lambda: rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    u = rng.normal(size=2) + 1j * rng.normal(size=2)
+    v = rng.normal(size=2) + 1j * rng.normal(size=2)
+    A = [np.outer(u, v), cplx(), cplx()]
+    K_true = [cplx() for _ in range(3)]
+    B = [sum(K_true[l] @ A[j - l] for l in range(j + 1)) for j in range(3)]
+    K = hermite_fejer_solve([(0.0, 3)], [A], [B], n=2)
+    assert K.lsq_nodes == [0]
+    for j in range(3):
+        np.testing.assert_allclose(sum(K.data[0][l] @ A[j - l] for l in range(j + 1)), B[j],
+                                   atol=1e-10)
+    assert interpolation_residual(K) < 1e-9
+
+
 def test_defect_unchanged_across_candidate_members():
     # two members differing by theta * h give identical defect at the model
     rng = np.random.default_rng(4)
