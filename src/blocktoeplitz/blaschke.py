@@ -76,8 +76,10 @@ class BlaschkeProduct:
         return out if out.shape else complex(out)
 
     def as_rational(self) -> RationalFn:
-        roots = self.zero_list()
-        num = poly_from_roots(roots, lead=self.unimodular)
+        """The quotient p/q; each zero at the origin shifts p by one place and leaves q alone."""
+        at0 = sum(m for a, m in self.zeros if a == 0)
+        roots = [a for a in self.zero_list() if a != 0]
+        num = np.concatenate([np.zeros(at0, dtype=complex), poly_from_roots(roots, lead=self.unimodular)])
         den = np.array([1.0 + 0j])
         for a in roots:
             den = mul_ascending(den, np.array([1.0, -np.conj(a)]))
@@ -175,7 +177,10 @@ def coanalytic_decompose(f) -> tuple[BlaschkeProduct, RationalFn]:
 
     theta collects the reflected poles 1/conj(beta) of f plus a zero at the
     origin of order max(deg num - deg den, 0); b = reflect(f) * theta with
-    the interior poles cancelled exactly.
+    the interior poles cancelled exactly.  When the reflection's
+    denominator is c z^d (f a polynomial of degree d), theta is z^d and
+    no root is computed; other denominators are root-found and their
+    roots clustered.
     """
     f = _as_rational_part(f)
     if f.is_zero():
@@ -192,8 +197,10 @@ def coanalytic_decompose(f) -> tuple[BlaschkeProduct, RationalFn]:
             raise ValueError("reflection without interior poles on a nonconstant input")
         return BlaschkeProduct.one(), RationalFn([np.conj(f.num[0] / f.den[0])])
     lead = refl.den[-1]
-    raw_roots = np.roots(refl.den[::-1])
-    clusters = _cluster_roots(raw_roots)
+    if np.any(refl.den[:-1]):
+        clusters = _cluster_roots(np.roots(refl.den[::-1]))
+    else:  # lead z^d, the reflection of a polynomial: d exact roots at 0
+        clusters = [(0j, len(refl.den) - 1)]
     for g, _ in clusters:
         if abs(g) >= 1.0:
             raise ValueError("reflection produced a pole outside the disk")

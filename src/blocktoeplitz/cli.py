@@ -324,11 +324,12 @@ def build_parser():
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, symbol=True):
+    def add_common(sp, symbol=True, fmt=True):
         if symbol:
             sp.add_argument("symbol", nargs="?", help="path to a symbol JSON file")
             sp.add_argument("--phi", help="scalar symbol expression, e.g. 'zbar+2z'")
-        sp.add_argument("--format", choices=["json", "csv"], default="json")
+        if fmt:
+            sp.add_argument("--format", choices=["json", "csv"], default="json")
         sp.add_argument("--out", help="write output to this file")
 
     sp = sub.add_parser("check-hyponormal", help="full hyponormality decision")
@@ -378,14 +379,24 @@ def build_parser():
     sp.set_defaults(func=cmd_suite)
 
     sp = sub.add_parser("export", help="write matrices, witnesses, and sweeps")
-    sp.add_argument("what", choices=["model", "defect", "witness",
-                                     "completion-residual", "eig-sweep"])
-    add_common(sp)
-    sp.add_argument("--window", type=int, default=16)  # for `witness`
-    sp.add_argument("--k", type=int, default=2)
-    sp.add_argument("--zeros", help="JSON list of model zeros, e.g. '[0, 0]'")
-    sp.add_argument("--windows", default="8,16,32,64")
     sp.set_defaults(func=cmd_export)
+    targets = sp.add_subparsers(dest="what", required=True)
+    tp = targets.add_parser("model", help="shift model matrix on the given zeros (JSON)")
+    tp.add_argument("--zeros", required=True, help="JSON list of model zeros, e.g. '[0, 0]'")
+    add_common(tp, symbol=False)
+    tp = targets.add_parser("defect", help="hyponormality verdict with its defect (JSON)")
+    add_common(tp)
+    tp = targets.add_parser("witness", help="k-hyponormality window report (JSON)")
+    add_common(tp)
+    tp.add_argument("--window", type=int, default=16)
+    tp.add_argument("--k", type=int, default=2)
+    tp = targets.add_parser("completion-residual", help="completion residual per window (CSV)")
+    add_common(tp, symbol=False, fmt=False)
+    tp.add_argument("--windows", default="8,16,32,64")
+    tp = targets.add_parser("eig-sweep", help="k-window minimum eigenvalue per window (CSV)")
+    add_common(tp, fmt=False)
+    tp.add_argument("--k", type=int, default=2)
+    tp.add_argument("--windows", default="8,16,32,64")
 
     return p
 

@@ -94,8 +94,9 @@ def hankel_window(phi: Symbol, W: int) -> WindowedOperator:
 
 
 def _hankel_view(h, W):
-    """Strided (W, n, W, n) view whose block (i, j) is h[i + j], for a stack h of 2W - 1 blocks."""
-    return np.lib.stride_tricks.sliding_window_view(h, W, axis=0).transpose(0, 1, 3, 2)
+    """(W, n, W, n) array whose block (i, j) is h[i + j], for a stack h of 2W - 1 blocks."""
+    i = np.arange(W)
+    return h[i[:, None] + i].transpose(0, 2, 1, 3)
 
 
 def positivity_report(matrix, window, exact=False, notes=None,
@@ -136,8 +137,10 @@ def selfcommutator_exact(phi: Symbol, W: int | None = None) -> WindowedOperator:
     window; the Toeplitz term vanishes exactly when the symbol is normal,
     in which case the window is certified exact by the doubling test.
     The adjoint and the commutator symbol are formed once for both
-    windows.  A window whose dense assembly would exceed MAX_WINDOW_BYTES
-    is refused with a ValueError before anything is allocated.
+    windows; a scalar symbol commutes with its adjoint, so its
+    commutator symbol is zero without a product.  A window whose dense
+    assembly would exceed MAX_WINDOW_BYTES is refused with a ValueError
+    before anything is allocated.
     """
     m, N = phi.degree_bounds()
     if W is None:
@@ -146,7 +149,7 @@ def selfcommutator_exact(phi: Symbol, W: int | None = None) -> WindowedOperator:
     # window at 2W, then eight of order nW (their sum, the W-window's three, temporaries)
     _refuse_over_budget(phi.n, 1, W, 2 * W)
     star = phi.star()
-    delta = star * phi - phi * star
+    delta = Symbol(phi.n) if phi.n == 1 else star * phi - phi * star  # scalar symbols commute
     base, agree, outside = _doubling(_selfcommutator_window(phi, star, delta, 2 * W), 1, phi.n * W,
                                      small=_selfcommutator_window(phi, star, delta, W))
     if not agree:

@@ -66,6 +66,14 @@ class Symbol:
         out._store(int(lo), c)
         return out
 
+    def _derived(self, lo, c):
+        """Symbol holding c unchecked: c must be a conjugate, transpose or negation of
+        a stack `_store` already trimmed, pruned and found finite, which keep all three."""
+        out = Symbol.__new__(Symbol)
+        out.n = self.n
+        out.lo, out.c = (lo, c) if len(c) else (0, c)
+        return out
+
     @classmethod
     def scalar(cls, coeffs):
         """Scalar symbol from a {degree: complex} dict."""
@@ -130,7 +138,7 @@ class Symbol:
         return Symbol.from_coeffs(lo, c)
 
     def __neg__(self):
-        return Symbol.from_coeffs(self.lo, -self.c)
+        return self._derived(self.lo, -self.c)
 
     def __mul__(self, other):
         if np.isscalar(other):
@@ -162,11 +170,11 @@ class Symbol:
 
     def star(self):
         """Adjoint symbol Phi*(z), with coefficient (A_{-j})^* at degree j."""
-        return Symbol.from_coeffs(-self.hi, self.c[::-1].conj().transpose(0, 2, 1))
+        return self._derived(-self.hi, self.c[::-1].conj().transpose(0, 2, 1))
 
     def tilde(self):
         """The involution Phi~(z) = Phi*(conj(z)); adjoints each coefficient in place."""
-        return Symbol.from_coeffs(self.lo, self.c.conj().transpose(0, 2, 1))
+        return self._derived(self.lo, self.c.conj().transpose(0, 2, 1))
 
     def split(self):
         """Analytic/co-analytic split (Phi_plus, Phi_minus).

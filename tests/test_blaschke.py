@@ -191,3 +191,47 @@ def test_decompose_constant_input():
     theta, b = coanalytic_decompose(RationalFn([2.0 - 1.0j]))
     assert theta.is_constant()
     np.testing.assert_allclose(b.poly_coeffs(), [2.0 + 1.0j], atol=1e-14)
+
+
+def _decompose_by_roots(f):
+    # the root-finding formula `coanalytic_decompose` keeps for non-monomial denominators
+    from blocktoeplitz.blaschke import _cluster_roots
+    from blocktoeplitz.rational import mul_ascending
+
+    refl = f.reflect()
+    clusters = _cluster_roots(np.roots(refl.den[::-1]))
+    bden = np.array([1.0 + 0.0j])
+    for g, m in clusters:
+        for _ in range(m):
+            bden = mul_ascending(bden, np.array([1.0, -np.conj(g)]))
+    return BlaschkeProduct(1.0, clusters), RationalFn(refl.num / refl.den[-1], bden)
+
+
+def test_polynomial_decomposition_matches_root_finding():
+    rng = np.random.default_rng(23)
+    for _ in range(40):
+        d = int(rng.integers(1, 6))
+        c = np.r_[0.0, rng.normal(size=d) + 1j * rng.normal(size=d)]
+        for f in (RationalFn(c), Symbol.scalar(dict(enumerate(c)))):
+            theta, b = coanalytic_decompose(f)
+            theta_ref, b_ref = _decompose_by_roots(RationalFn(c))
+            assert theta.zeros == theta_ref.zeros == [(0j, d)]
+            assert np.array_equal(b.num, b_ref.num) and np.array_equal(b.den, b_ref.den)
+
+
+def test_as_rational_shift_matches_root_product():
+    from blocktoeplitz.rational import mul_ascending, poly_from_roots
+
+    rng = np.random.default_rng(24)
+    for _ in range(40):
+        zs = [(0.0, int(rng.integers(1, 4)))]
+        zs += [(complex(rng.normal(), rng.normal()) * 0.3, int(rng.integers(1, 3)))
+               for _ in range(int(rng.integers(0, 3)))]
+        theta = BlaschkeProduct(np.exp(1j * rng.normal()), [zs[i] for i in rng.permutation(len(zs))])
+        roots = theta.zero_list()
+        den = np.array([1.0 + 0j])
+        for a in roots:
+            den = mul_ascending(den, np.array([1.0, -np.conj(a)]))
+        want = RationalFn(poly_from_roots(roots, lead=theta.unimodular), den)
+        got = theta.as_rational()
+        assert np.array_equal(got.num, want.num) and np.array_equal(got.den, want.den)

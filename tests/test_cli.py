@@ -206,22 +206,51 @@ PARSER_OPTIONS = {
     "complete-ustar": ["--phi", "--psi", "--window", "--format", "--out"],
     "no-completion": ["--phi", "--psi", "--window", "--format", "--out"],
     "suite": ["name", "--cases", "--seed", "--out"],
-    "export": ["what", "symbol", "--phi", "--format", "--out", "--window", "--k", "--zeros",
-               "--windows"],
+    "export": ["what"],
+    "export model": ["--zeros", "--format", "--out"],
+    "export defect": ["symbol", "--phi", "--format", "--out"],
+    "export witness": ["symbol", "--phi", "--format", "--out", "--window", "--k"],
+    "export completion-residual": ["--windows", "--out"],
+    "export eig-sweep": ["symbol", "--phi", "--out", "--k", "--windows"],
 }
 
 
+def _subparsers(parser, prefix=""):
+    """{"command": parser} for every subcommand, nested ones as "command target"."""
+    out = {}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sp in action.choices.items():
+                out[prefix + name] = sp
+                out.update(_subparsers(sp, prefix + name + " "))
+    return out
+
+
 def test_parser_options_per_command():
-    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    parsers = _subparsers(build_parser())
     found = {name: sorted(a.option_strings[0] if a.option_strings else a.dest
                           for a in sp._actions if not isinstance(a, argparse._HelpAction))
-             for name, sp in sub.choices.items()}
+             for name, sp in parsers.items()}
     assert found == {name: sorted(opts) for name, opts in PARSER_OPTIONS.items()}
-    assert sum(map(len, found.values())) == 45
-    windows = {name: sp.get_default("window") for name, sp in sub.choices.items()
+    assert sum(map(len, found.values())) == 57
+    windows = {name: sp.get_default("window") for name, sp in parsers.items()
                if "--window" in PARSER_OPTIONS[name]}
     assert windows == {"check-k": 16, "check-square": 16, "complete-ustar": 24,
-                       "no-completion": 16, "export": 16}
+                       "no-completion": 16, "export witness": 16}
+    defaults = {name: (sp.get_default("k"), sp.get_default("windows")) for name, sp in parsers.items()
+                if name.startswith("export ")}
+    assert defaults == {"export model": (None, None), "export defect": (None, None),
+                        "export witness": (2, None),
+                        "export completion-residual": (None, "8,16,32,64"),
+                        "export eig-sweep": (2, "8,16,32,64")}
+
+
+def test_export_rejects_flags_its_target_does_not_read(capsys):
+    assert main(["export", "completion-residual", "--windows", "8", "--format", "json"]) == 1
+    assert main(["export", "model", "--zeros", "[0]", "--phi", "z", "--k", "5",
+                 "--windows", "3"]) == 1
+    assert main(["export", "model"]) == 1  # --zeros is required
+    assert "unrecognized arguments: --format json" in capsys.readouterr().err
 
 
 def test_usage_errors_exit_input(capsys):

@@ -313,3 +313,23 @@ def test_diagonal_verdict_invariant_under_equivalences(seed, angle, shift):
                   Symbol.from_coeffs(lo, c * rotation[:, None, None])):
         v = decide_hyponormal(other)
         assert (v.tag, v.rank_defect) == (base.tag, base.rank_defect)
+
+
+def test_scalar_trig_decisions_find_no_roots(monkeypatch):
+    # every pole of a scalar trigonometric polynomial sits at 0 with a known order
+    calls = []
+    roots = np.roots
+
+    def counting_roots(p):
+        calls.append(len(p))
+        return roots(p)
+
+    monkeypatch.setattr(np, "roots", counting_roots)
+    rng = np.random.default_rng(41)
+    tags = set()
+    for _ in range(60):
+        phi = suites.random_scalar_trig(rng, max_deg=4)
+        tags.add(decide_hyponormal(phi).tag)
+        op.selfcommutator_exact(phi)
+    assert tags == {"Hyponormal", "NotHyponormal"}
+    assert calls == []

@@ -199,3 +199,19 @@ def test_dense_algebra_matches_coefficient_reference():
         for j in range(-6, 7):
             np.testing.assert_array_equal(plus.coeff(j), a.coeff(j) if j >= 0 else np.zeros((2, 2)))
             np.testing.assert_array_equal(minus.coeff(j), a.coeff(-j).conj().T if j >= 1 else np.zeros((2, 2)))
+
+
+def test_derived_symbols_equal_a_checked_rebuild():
+    rng = np.random.default_rng(12)
+    holed = random_symbol(rng, n=2, m=2, N=3)
+    holed = holed - Symbol(2, {0: holed.coeff(0)})  # an interior zero coefficient
+    assert not np.any(holed.c[2])
+    for phi in (holed, random_symbol(rng, n=1, m=0, N=3), Symbol(2), Symbol(1)):
+        adj = phi.c.conj().transpose(0, 2, 1)
+        for got, want in ((phi.star(), Symbol.from_coeffs(-phi.hi, adj[::-1])),
+                          (phi.tilde(), Symbol.from_coeffs(phi.lo, adj)),
+                          (-phi, Symbol.from_coeffs(phi.lo, -phi.c))):
+            assert got.n == want.n and got.lo == want.lo
+            assert np.array_equal(got.c, want.c)
+    for zero in (Symbol(2).star(), Symbol(2).tilde(), -Symbol(2)):
+        assert zero.lo == 0 and zero.c.shape == (0, 2, 2)
