@@ -316,8 +316,18 @@ def cmd_export(args):
     raise ExprError(f"unknown export target {args.what}")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Matches flags in full: `--win` is an unknown flag, not `--window`.
+
+    `add_subparsers` gives every subcommand and `export` target this class too.
+    """
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+
 def build_parser():
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="blocktoeplitz",
         description="Hyponormality / k-hyponormality / completion verdicts for "
         "block Toeplitz operators with rational symbols",

@@ -13,11 +13,15 @@ self-commutator are supported in a corner of W* = k(bw + m + N) modes
 `k_hypo_window` for the proof.  Above W* the windows are decided on that
 corner: the doubling test at (W*, 2W*) certifies it, the W-window is its
 zero padding, and the witness is padded back to the W-window's length.
-When the doubling fails there, the symbol is numerically non-normal, no
-window is exact, and the W-window is assembled once.  A self-commutator,
-k-step or squared window whose dense assembly would exceed
-MAX_WINDOW_BYTES is refused with a ValueError before anything is
-allocated, and so is a normal non-Toeplitz completion window.
+When the doubling fails there, the symbol is numerically non-normal and
+no window is exact.  The W-window is then gathered by index from the
+2W*-window already built, because its entries past L = k*bw depend only
+on their distance from the diagonal and vanish beyond D = k(m + N).  It
+is decided in band form, half-bandwidth k*n*(D + 1) - 1, with no product
+or dense eigensolve at W.  A self-commutator, k-step or squared window
+whose dense assembly would exceed MAX_WINDOW_BYTES is refused with a
+ValueError before anything is allocated; so is a non-normal window of
+that order, and a normal non-Toeplitz completion window.
 """
 
 from __future__ import annotations
@@ -101,25 +105,24 @@ def _hankel_view(h, W):
 
 def positivity_report(matrix, window, exact=False, notes=None,
                       psd_tol=PSD_TOL, not_psd_tol=NOT_PSD_TOL) -> PositivityReport:
-    """Classify a Hermitian window by its minimum eigenvalue.
-
-    PSD if lambda_min >= -psd_tol * (1 + norm); NotPSD below -not_psd_tol;
-    Marginal in the dead zone between the two.
-    """
+    """Classify a Hermitian window by its minimum eigenvalue; see `_verdict`."""
     Hm = 0.5 * (matrix + matrix.conj().T)
     vals, vecs = scipy.linalg.eigh(Hm)
     lam = float(vals[0])
-    scale = max(abs(lam), abs(float(vals[-1]))) if vals.size else 0.0  # the 2-norm of Hermitian Hm
-    if lam >= -psd_tol * (1.0 + scale):
-        verdict = "PSD"
-        witness = None
-    elif lam < -not_psd_tol:
-        verdict = "NotPSD"
-        witness = _canonical_witness(vecs[:, 0])
-    else:
-        verdict = "Marginal"
-        witness = _canonical_witness(vecs[:, 0])
+    verdict = _verdict(lam, max(abs(lam), abs(float(vals[-1]))), psd_tol, not_psd_tol)
+    witness = None if verdict == "PSD" else _canonical_witness(vecs[:, 0])
     return PositivityReport(lam, witness, verdict, exact=exact, window=window, notes=notes or [])
+
+
+def _verdict(lam, scale, psd_tol, not_psd_tol):
+    """The PSD rule, for lambda_min and the 2-norm `scale` of a Hermitian window.
+
+    PSD if lambda_min >= -psd_tol * (1 + scale); NotPSD below -not_psd_tol;
+    Marginal in the dead zone between the two.
+    """
+    if lam >= -psd_tol * (1.0 + scale):
+        return "PSD"
+    return "NotPSD" if lam < -not_psd_tol else "Marginal"
 
 
 def _canonical_witness(v):
@@ -240,7 +243,9 @@ def _refuse_over_budget(n, k, W, B):
     The estimate counts 16 bytes per complex entry of the 2k powers of
     T and T* on the inflated window B and of eight matrices of the
     result's order k*n*W: its products, its Hermitian part, and the copy
-    and eigenvectors that `eigh` allocates.
+    and eigenvectors that `eigh` allocates.  A non-normal window above
+    W* is decided in band form without these dense arrays; there the
+    same estimate caps the order to be decided, not the bytes allocated.
     """
     nbytes = 16 * (2 * k * (n * B) ** 2 + 8 * (k * n * W) ** 2)
     if nbytes > MAX_WINDOW_BYTES:
@@ -248,10 +253,10 @@ def _refuse_over_budget(n, k, W, B):
                          f"{nbytes / 2**30:.3g} GiB, over the {MAX_WINDOW_BYTES / 2**30:.3g} GiB budget")
 
 
-def _support_window(phi: Symbol, k: int) -> int:
-    """W* = k(bw + m + N): the corner holding the k-hyponormality matrix of a normal symbol."""
+def _support(phi: Symbol, k: int):
+    """(L, D) = (k*bw, k(m + N)); the support corner is W* = L + D (see `k_hypo_window`)."""
     m, N = phi.degree_bounds()
-    return max(1, k * (max(m, N) + m + N))
+    return k * max(m, N), k * (m + N)
 
 
 def k_hypo_window(phi: Symbol, k: int, W: int, psd_tol=PSD_TOL,
@@ -291,28 +296,42 @@ def k_hypo_window(phi: Symbol, k: int, W: int, psd_tol=PSD_TOL,
     lambda_min is min(lambda_corner, 0) and the witness is zero-padded
     in each block; when it does not, the symbol is numerically
     non-normal, its Toeplitz term has unbounded support, and the
-    W-window is assembled once and reported not exact.
+    W-window is gathered from the 2W*-window and reported not exact.
+    Gather.  Facts (1) and (2) hold for every symbol, normal or not.  By
+    (1) an entry with min(a, b) >= L = k*bw is the coefficient of degree
+    a - b above, and by (2) it vanishes for |a - b| > D = k(m + N).  So
+    entry (a, b) of the W-window is entry (a - s, b - s) of the
+    2W*-window, s = max(0, min(a, b) - L), whose modes lie within
+    L + D = W*.  Ordered mode by mode, the W-window is Hermitian-banded
+    with half-bandwidth k*n*(D + 1) - 1, and is decided in that form
+    (`_band_report`) with no product or dense eigensolve at W.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     bw = phi.bandwidth()
     if W < bw + 1:
         raise ValueError(f"window {W} too small for bandwidth {bw}")
-    return _decide_window(lambda V: _power_commutators(phi, k, V), k, phi.n, W,
-                          _support_window(phi, k), psd_tol, not_psd_tol)
+    return _decide_window(lambda V: _power_commutators(phi, k, V), k, phi.n, W, *_support(phi, k),
+                          2 * k * bw + 1, psd_tol, not_psd_tol)
 
 
-def _decide_window(assemble, k, n, W, Ws, psd_tol, not_psd_tol):
-    """Positivity of a k x k block window of order n*W, decided on its support corner Ws.
+def _decide_window(assemble, k, n, W, L, D, pad, psd_tol, not_psd_tol):
+    """Positivity of a k x k block window of order n*W, decided on its support corner W* = L + D.
 
-    `assemble(V)` returns the exact V-window; see `k_hypo_window`.
+    `assemble(V)` returns the exact V-window from products on a window
+    inflated to V + pad; see `k_hypo_window`.
     """
+    Ws = max(1, L + D)
     if W <= Ws:
         small, _, outside = _doubling(assemble(2 * W), k, n * W)
-        return _windowed_report(small, W, outside <= EXACT_TOL, psd_tol, not_psd_tol)
-    corner, _, outside = _doubling(assemble(2 * Ws), k, n * Ws)
+        exact = outside <= EXACT_TOL
+        return _windowed_report(positivity_report(small, W, exact=exact, psd_tol=psd_tol,
+                                                  not_psd_tol=not_psd_tol))
+    big = assemble(2 * Ws)
+    corner, _, outside = _doubling(big, k, n * Ws)
     if outside > EXACT_TOL:  # not normal: no window is exact
-        return _windowed_report(assemble(W), W, False, psd_tol, not_psd_tol)
+        _refuse_over_budget(n, k, W, W + pad)  # the cap the dense W-window was held to
+        return _windowed_report(_band_report(big, k, n, W, L, D, psd_tol, not_psd_tol))
     rep = positivity_report(corner, W, exact=True, psd_tol=psd_tol, not_psd_tol=not_psd_tol)
     rep.min_eigenvalue = min(rep.min_eigenvalue, 0.0)  # the padding adds zero eigenvalues
     if rep.witness is not None:
@@ -322,11 +341,60 @@ def _decide_window(assemble, k, n, W, Ws, psd_tol, not_psd_tol):
     return rep
 
 
-def _windowed_report(small, W, exact, psd_tol, not_psd_tol):
-    rep = positivity_report(small, W, exact=exact, psd_tol=psd_tol, not_psd_tol=not_psd_tol)
-    if rep.verdict == "PSD" and not exact:
+def _windowed_report(rep):
+    if rep.verdict == "PSD" and not rep.exact:
         rep.notes.append("consistent up to window; support not certified")
     return rep
+
+
+def _band_report(big, k, n, W, L, D, psd_tol, not_psd_tol):
+    """Positivity of the W-window gathered from the exact 2W*-window `big`, in band form.
+
+    Every eigenvalue comes from `eigvals_banded`, so the PSD rule reads
+    the same lambda_min and scale as on the dense window.  A witness is
+    needed only when the verdict is not PSD: two steps of inverse
+    iteration with `solve_banded`, shifted just below lambda_min, from
+    a fixed seeded start, mapped back to block order.
+    """
+    ab, u = _band_gather(0.5 * (big + big.conj().T), k, n, W, L, D)
+    vals = scipy.linalg.eigvals_banded(ab[u:], lower=True)
+    lam = float(vals[0])
+    scale = max(abs(lam), abs(float(vals[-1])))
+    verdict = _verdict(lam, scale, psd_tol, not_psd_tol)
+    witness = None
+    if verdict != "PSD":
+        order = ab.shape[1]
+        # shifted below lambda_min by more than its rounding error, so the band LU stays regular
+        ab[u] -= lam - order * np.finfo(float).eps * (1.0 + scale)
+        rng = np.random.default_rng(0)
+        v = rng.standard_normal(order) + 1j * rng.standard_normal(order)
+        for _ in range(2):
+            v = scipy.linalg.solve_banded((u, u), ab, v)
+            v /= np.linalg.norm(v)
+        witness = _canonical_witness(v.reshape(W, k, n).transpose(1, 0, 2).ravel())
+    return PositivityReport(lam, witness, verdict, exact=False, window=W)
+
+
+def _band_gather(big, k, n, W, L, D):
+    """The W-window gathered from the 2W*-window `big`, as (ab, u) in LAPACK's band storage.
+
+    Indices run mode by mode, (mode, block, component), so entry (I, J)
+    sits at ab[u + I - J, J] with half-bandwidth u = k*n*(D + 1) - 1, and
+    entry (a, b) of each block is entry (a - s, b - s) of `big`'s, with
+    s = max(0, min(a, b) - L); see `k_hypo_window`.
+    """
+    kn = k * n
+    order, u = kn * W, kn * (D + 1) - 1
+    V = big.shape[0] // kn  # 2W*
+    blocks = big.reshape(k, V, n, k, V, n)
+    J = np.arange(order)
+    I = J + np.arange(-u, u + 1)[:, None]
+    a, b = I // kn, J // kn
+    s = np.maximum(0, np.minimum(a, b) - L)
+    inside = (I >= 0) & (I < order) & (np.abs(a - b) <= D)
+    ab = np.where(inside, blocks[I // n % k, np.where(inside, a - s, 0), I % n,
+                                 J // n % k, np.where(inside, b - s, 0), J % n], 0)
+    return ab, u
 
 
 def square_window(phi: Symbol, W: int):
@@ -346,13 +414,15 @@ def square_hypo_window(phi: Symbol, W: int, psd_tol=PSD_TOL,
     T^2 is banded-plus-finite-rank, so the commutator window is exact
     after inflation; the verdict contract matches k_hypo_window.
     [T^{*2}, T^2] is block (2, 2) of the k = 2 matrix there, so the same
-    support corner W* (with k = 2) and the same decision apply.
+    support corner W* (with k = 2) and the same decision apply.  For a
+    non-normal symbol its W-window is gathered from the 2W*-window with
+    L = 2*bw and D = 2(m + N): one block, half-bandwidth n*(D + 1) - 1.
     """
     bw = phi.bandwidth()
     if W < 2 * bw + 1:
         raise ValueError(f"window {W} too small for squared bandwidth {2 * bw}")
-    return _decide_window(lambda V: _square_commutator(phi, V), 1, phi.n, W,
-                          _support_window(phi, 2), psd_tol, not_psd_tol)
+    return _decide_window(lambda V: _square_commutator(phi, V), 1, phi.n, W, *_support(phi, 2),
+                          4 * bw + 4, psd_tol, not_psd_tol)
 
 
 def _square_commutator(phi: Symbol, W: int):

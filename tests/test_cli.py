@@ -1,6 +1,8 @@
 import argparse
 import json
+import shlex
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -258,6 +260,26 @@ def test_usage_errors_exit_input(capsys):
     assert main(["classify", "--phi", "2z", "--window", "8"]) == 1
     assert main(["complete-ustar", "--phi", "z"]) == 1
     assert main(["--help"]) == 0
+
+
+def test_flag_prefixes_are_unknown_flags(capsys):
+    # a prefix of a flag the command reads is not that flag
+    assert main(["check-k", "--k", "1", "--win", "8", "--phi", "zbar+2z"]) == 1
+    assert main(["export", "eig-sweep", "--phi", "z", "--window", "8"]) == 1
+    assert "unrecognized arguments: --window\n" in capsys.readouterr().err
+    parser = build_parser()
+    assert not parser.allow_abbrev
+    assert not any(sp.allow_abbrev for sp in _subparsers(parser).values())
+
+
+def test_readme_command_lines_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = [ln for ln in readme.splitlines() if ln.startswith("blocktoeplitz ")]
+    assert len(lines) == 10
+    parser = build_parser()
+    for line in lines:
+        args = parser.parse_args(shlex.split(line)[1:])
+        assert args.command == shlex.split(line)[1]
 
 
 def test_completion_residual_window_over_budget(capsys):

@@ -394,3 +394,124 @@ def test_windows_match_sliding_window_form(n):
             if k:
                 H[:k, :, :k] = _strided_view(phi.coeffs(-(2 * k - 1), -1)[::-1], k)
             assert np.array_equal(hankel_window(phi, W).block, H.reshape(n * W, n * W))
+
+
+# -- non-normal windows above W*: gathered from the 2W*-window, decided in band form ------
+
+NONNORMAL_GRID = [(n, m, N) for n in (1, 2) for m in (0, 1, 2) for N in (1, 2)]
+K_OR_SQUARE = [1, 2, 3, 4, None]  # k, or None for the square test
+
+
+def seeded_symbol(n, m, N):
+    return 0.5 * random_symbol(np.random.default_rng(100 + 9 * n + 3 * m + N), n=n, m=m, N=N)
+
+
+def dense_window(phi, k, W):
+    """The dense W-window of the k-test, or of the square test for k None."""
+    return op._square_commutator(phi, W) if k is None else op._power_commutators(phi, k, W)
+
+
+def decide_and_assemble(phi, k, W, **tols):
+    rep = square_hypo_window(phi, W, **tols) if k is None else k_hypo_window(phi, k, W, **tols)
+    return rep, dense_window(phi, k, W)
+
+
+def dense_from_band(ab, u, k, n, W):
+    """The block-ordered dense window of a gathered band, for comparison."""
+    order = ab.shape[1]
+    dense = np.zeros((order, order), dtype=complex)
+    J = np.arange(order)
+    for d in range(-u, u + 1):
+        I = J + d
+        ok = (I >= 0) & (I < order)
+        dense[I[ok], J[ok]] = ab[u + d, J[ok]]
+    perm = np.arange(order).reshape(W, k, n).transpose(1, 0, 2).ravel()  # block order -> mode order
+    return dense[np.ix_(perm, perm)]
+
+
+@pytest.mark.parametrize("n, m, N", NONNORMAL_GRID)
+def test_gathered_window_equals_dense_window(n, m, N):
+    phi = seeded_symbol(n, m, N)
+    for k in K_OR_SQUARE:
+        L, D = op._support(phi, k or 2)
+        Ws = L + D
+        blocks = k or 1
+        big = dense_window(phi, k, 2 * Ws)
+        for W in (Ws + 1, Ws + 17, 3 * Ws):
+            full = dense_window(phi, k, W)
+            ab, u = op._band_gather(big, blocks, n, W, L, D)
+            assert u == blocks * n * (D + 1) - 1
+            gathered = dense_from_band(ab, u, blocks, n, W)
+            assert np.max(np.abs(gathered - full)) <= 1e-12 * np.max(np.abs(full))
+
+
+@pytest.mark.parametrize("n, m, N", NONNORMAL_GRID)
+def test_band_path_matches_full_window(n, m, N):
+    phi = seeded_symbol(n, m, N)
+    for k in K_OR_SQUARE:
+        L, D = op._support(phi, k or 2)
+        for W in (L + D + 1, L + D + 17, 3 * (L + D)):
+            rep, full = decide_and_assemble(phi, k, W)
+            assert rep.exact == (n == 1)  # scalar symbols are normal; these 2x2 ones are not
+            assert_matches_full_window(rep, full, W)
+
+
+def test_constant_nonnormal_symbol_is_decided_in_band_form():
+    # L = D = 0 while W* = 1: the band is block diagonal in the modes
+    phi = Symbol(2, {0: E12})
+    for k in (1, 2, 3):
+        rep, full = decide_and_assemble(phi, k, 7)
+        assert not rep.exact
+        assert_matches_full_window(rep, full, 7)
+
+
+def test_band_path_reaches_every_verdict_as_the_dense_rule_does():
+    W = 20
+    seen = set()
+    for k in (2, None):
+        for tols in ({}, {"not_psd_tol": 1e3}, {"psd_tol": 1.0}):
+            rep, full = decide_and_assemble(NONNORMAL, k, W, **tols)
+            ref = positivity_report(full, W, **tols)
+            assert not rep.exact and rep.verdict == ref.verdict
+            assert abs(rep.min_eigenvalue - ref.min_eigenvalue) <= 1e-9 * max(1.0, abs(ref.min_eigenvalue))
+            assert (rep.witness is None) == (ref.witness is None)
+            if rep.witness is not None:
+                Hm = 0.5 * (full + full.conj().T)
+                assert np.linalg.norm(Hm @ rep.witness - rep.min_eigenvalue * rep.witness) <= 1e-8
+            else:
+                assert rep.notes == ["consistent up to window; support not certified"]
+            seen.add(rep.verdict)
+    assert seen == {"PSD", "Marginal", "NotPSD"}
+
+
+def test_band_witness_is_bitwise_repeatable():
+    for k in (1, 3, None):
+        a, _ = decide_and_assemble(NONNORMAL, k, 40)
+        b, _ = decide_and_assemble(NONNORMAL, k, 40)
+        assert a.verdict == "NotPSD" and np.array_equal(a.witness, b.witness)
+
+
+def test_nonnormal_branch_assembles_only_at_twice_the_support_corner(monkeypatch):
+    windows = []
+    power, square = op._power_commutators, op._square_commutator
+
+    def recording_power(phi, k, W):
+        windows.append(W)
+        return power(phi, k, W)
+
+    def recording_square(phi, W):
+        windows.append(W)
+        return square(phi, W)
+
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("dense eigh on the non-normal branch")
+
+    monkeypatch.setattr(op, "_power_commutators", recording_power)
+    monkeypatch.setattr(op, "_square_commutator", recording_square)
+    monkeypatch.setattr(scipy.linalg, "eigh", no_eigh)
+    for k in (1, 2, 3, None):
+        windows.clear()
+        rep = k_hypo_window(NONNORMAL, k, 128) if k else square_hypo_window(NONNORMAL, 128)
+        L, D = op._support(NONNORMAL, k or 2)
+        assert not rep.exact and rep.verdict == "NotPSD"
+        assert windows == [2 * (L + D)]
