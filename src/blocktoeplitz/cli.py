@@ -163,18 +163,25 @@ def load_symbol(args) -> Symbol:
 def _emit(payload, args):
     if getattr(args, "format", "json") == "csv":
         keys = sorted(payload)
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(keys)
-        w.writerow([json.dumps(payload[k]) for k in keys])
-        text = buf.getvalue().rstrip("\n")
+        text = _csv([keys, [json.dumps(payload[k]) for k in keys]])
     else:
-        text = json.dumps(payload, indent=2, sort_keys=True)
+        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    _write(text, args)
+
+
+def _csv(rows):
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
+def _write(text, args):
+    """Write `text` to the --out file, or to stdout."""
     if getattr(args, "out", None):
         with open(args.out, "w", encoding="utf-8") as f:
-            f.write(text + "\n")
+            f.write(text)
     else:
-        print(text)
+        sys.stdout.write(text)
 
 
 EXIT_DECIDED = 0
@@ -189,6 +196,8 @@ _DECIDED_TAGS = {
     "Neither",
     "NotKHyponormal",
     "NotNormalSymbol",
+    "PSD",
+    "NotPSD",
 }
 
 
@@ -209,7 +218,7 @@ def _emit_window(rep, args):
     if rep.verdict == "PSD" and not rep.exact:
         payload["verdict"] = "ConsistentUpToWindow"
     _emit(payload, args)
-    return EXIT_DECIDED if payload["verdict"] in ("NotPSD", "PSD") else EXIT_UNDECIDED
+    return _exit_for(payload["verdict"])
 
 
 def cmd_check_k(args):
@@ -245,20 +254,6 @@ def cmd_no_completion(args):
     return _exit_for(v.tag)
 
 
-def _write_csv(rows, header, args):
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    for row in rows:
-        w.writerow(row)
-    text = buf.getvalue()
-    if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as f:
-            f.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def cmd_suite(args):
     if args.name == "oracle-equivalence":
         rows, ok = suites.oracle_equivalence(cases=args.cases or 200, seed=args.seed)
@@ -274,7 +269,7 @@ def cmd_suite(args):
         header = ["case", "tag", "violation"]
     else:
         raise ExprError(f"unknown suite {args.name}")
-    _write_csv(rows, header, args)
+    _write(_csv([header, *rows]), args)
     return EXIT_DECIDED if ok else EXIT_UNDECIDED
 
 
@@ -291,10 +286,7 @@ def cmd_export(args):
         _emit(v.to_json_dict(), args)
         return _exit_for(v.tag)
     if args.what == "witness":
-        phi = load_symbol(args)
-        rep = op.k_hypo_window(phi, args.k, args.window)
-        _emit(rep.to_json_dict(), args)
-        return EXIT_DECIDED
+        return _emit_window(op.k_hypo_window(load_symbol(args), args.k, args.window), args)
     if args.what == "completion-residual":
         windows = [int(w) for w in args.windows.split(",")]
         rows = []
@@ -302,7 +294,7 @@ def cmd_export(args):
             _, res = op.normal_nontoeplitz_completion(W)
             _, C = op.completion_selfadjoint_part(W)
             rows.append([W, f"{res:.16e}", f"{np.linalg.norm(C, 2):.16e}"])
-        _write_csv(rows, ["window", "interior_residual", "offdiag_norm"], args)
+        _write(_csv([["window", "interior_residual", "offdiag_norm"], *rows]), args)
         return EXIT_DECIDED
     if args.what == "eig-sweep":
         phi = load_symbol(args)
@@ -311,7 +303,7 @@ def cmd_export(args):
         for W in windows:
             rep = op.k_hypo_window(phi, args.k, W)
             rows.append([W, args.k, f"{rep.min_eigenvalue:.16e}", rep.verdict, rep.exact])
-        _write_csv(rows, ["window", "k", "min_eigenvalue", "verdict", "exact"], args)
+        _write(_csv([["window", "k", "min_eigenvalue", "verdict", "exact"], *rows]), args)
         return EXIT_DECIDED
     raise ExprError(f"unknown export target {args.what}")
 
@@ -421,7 +413,7 @@ def main(argv=None):
     try:
         return args.func(args)
     except (ArithmeticError, np.linalg.LinAlgError) as e:
-        # quadrature, doubling or a solver failed: undecided, not an input error
+        # quadrature or a solver failed: undecided, not an input error
         # (LinAlgError subclasses ValueError, so it must be caught first)
         print(f"undecided: {e}", file=sys.stderr)
         return EXIT_UNDECIDED

@@ -150,6 +150,13 @@ def _outer_grid(entries, parts, theta_side, n):
     return A
 
 
+def _coanalytic_coprime(R):
+    """(Theta_minus, ok, marginal): the coprimality certificate of R's co-analytic factorization."""
+    theta_minus, parts = _side_inner_lcm(R.minus, R.n)
+    B = _outer_grid(R.minus, parts, theta_minus, R.n)
+    return (theta_minus, *bl.coprime_matrix_check(B, theta_minus))
+
+
 def kernel_inclusion_holds(phi_sym: Symbol, tol=KERNEL_RANK_TOL):
     """Numeric test that the analytic-side Hankel kernel sits inside the
     co-analytic one, via column-space comparison of the adjoint windows."""
@@ -197,15 +204,6 @@ def _interpolation_data(fact: HypoFactorization):
         A_data.append([Aj[k] for k in range(m)])
         B_data.append([Bj[k] for k in range(m)])
     return nodes, A_data, B_data
-
-
-def _grid_min_singular(grid, points, n):
-    out = np.inf
-    for a in points:
-        M = np.array([[grid[i][j](a) for j in range(n)] for i in range(n)], dtype=complex)
-        s = np.linalg.svd(M, compute_uv=False)
-        out = min(out, float(s[-1]) if len(s) else 0.0)
-    return out
 
 
 def decide_hyponormal(phi, window_fallback=True, contract_tol=CONTRACT_TOL) -> Verdict:
@@ -273,8 +271,7 @@ def _decide_hyponormal(R, S, window_fallback=True, contract_tol=CONTRACT_TOL) ->
     if fact.n == 1:
         return Verdict("NotHyponormal", sigma_max=sigma,
                        notes=notes + ["interpolant is expansive at the model"])
-    smin = _grid_min_singular(fact.A, [a for a, _ in fact.theta_full.zeros], fact.n)
-    if smin > 1e-9:
+    if bl.coprime_matrix_check(fact.A, fact.theta_full)[0]:
         return Verdict("NotHyponormal", sigma_max=sigma,
                        notes=notes + ["interpolant is expansive; compressed outer factor invertible"])
     notes.append("outer factor singular at a model zero; converse unavailable")
@@ -306,9 +303,7 @@ def classify_normal_or_analytic(phi, square_window=None) -> Verdict:
     S = phi if isinstance(phi, Symbol) else R.to_symbol()
     if R.is_analytic():
         return Verdict("Analytic", notes=["co-analytic part vanishes"])
-    theta_minus, parts = _side_inner_lcm(R.minus, R.n)
-    B = _outer_grid(R.minus, parts, theta_minus, R.n)
-    ok, marginal = bl.coprime_matrix_check(B, theta_minus)
+    _, ok, marginal = _coanalytic_coprime(R)
     if not ok:
         return Verdict("HypothesisNotMet",
                        notes=["co-analytic factorization is not coprime; hypothesis not met"])

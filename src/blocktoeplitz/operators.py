@@ -10,18 +10,19 @@ are formed on the nonzero leading corners of the Hankel windows only.
 For a normal symbol the k-hyponormality block matrix and the squared
 self-commutator are supported in a corner of W* = k(bw + m + N) modes
 (k = 2 for the square test), whatever window the caller asks for; see
-`k_hypo_window` for the proof.  Above W* the windows are decided on that
-corner: the doubling test at (W*, 2W*) certifies it, the W-window is its
-zero padding, and the witness is padded back to the W-window's length.
-When the doubling fails there, the symbol is numerically non-normal and
-no window is exact.  The W-window is then gathered by index from the
-2W*-window already built, because its entries past L = k*bw depend only
-on their distance from the diagonal and vanish beyond D = k(m + N).  It
-is decided in band form, half-bandwidth k*n*(D + 1) - 1, with no product
-or dense eigensolve at W.  A self-commutator, k-step or squared window
-whose dense assembly would exceed MAX_WINDOW_BYTES is refused with a
-ValueError before anything is allocated; so is a non-normal window of
-that order, and a normal non-Toeplitz completion window.
+`k_hypo_window` for the proof.  Each window test assembles one window,
+at 2V with V = min(W, W*), and reads from it the V-window (its corner)
+and the doubling certificate (the entries outside the corner).  Above
+W* a certified corner is zero-padded to the W-window, witness included.
+Otherwise the symbol is numerically non-normal, no window is exact, and
+the W-window is gathered by index from the 2W*-window: its entries past
+L = k*bw depend only on their distance from the diagonal and vanish
+beyond D = k(m + N).  It is decided in band form, half-bandwidth
+k*n*(D + 1) - 1, with no product or dense eigensolve at W.  A
+self-commutator window below bw is refused with a ValueError, and so is,
+before anything is allocated, any window whose dense assembly would
+exceed MAX_WINDOW_BYTES: self-commutator, k-step, squared (also when
+non-normal) and the normal non-Toeplitz completion.
 """
 
 from __future__ import annotations
@@ -139,33 +140,28 @@ def selfcommutator_exact(phi: Symbol, W: int | None = None) -> WindowedOperator:
     At W = m + N + 1 the Hankel quadratic forms are fully inside the
     window; the Toeplitz term vanishes exactly when the symbol is normal,
     in which case the window is certified exact by the doubling test.
-    The adjoint and the commutator symbol are formed once for both
-    windows; a scalar symbol commutes with its adjoint, so its
-    commutator symbol is zero without a product.  A window whose dense
-    assembly would exceed MAX_WINDOW_BYTES is refused with a ValueError
-    before anything is allocated.
+    It is assembled once, at 2W: for W >= bw the Hankel corners are the
+    same at W and 2W, so the corner is the W-assembly bit for bit.  A
+    scalar symbol commutes with its adjoint, so its commutator symbol is
+    zero without a product.  A window below bw, or one whose dense
+    assembly would exceed MAX_WINDOW_BYTES, is refused with a ValueError.
     """
     m, N = phi.degree_bounds()
     if W is None:
         W = m + N + 1
+    if W < max(m, N):
+        raise ValueError(f"window {W} too small for bandwidth {max(m, N)}")
     # the count of a k = 1 window inflated to B = 2W: the Hankel difference and the Toeplitz
-    # window at 2W, then eight of order nW (their sum, the W-window's three, temporaries)
+    # window at 2W, then eight of order nW (the corner, temporaries)
     _refuse_over_budget(phi.n, 1, W, 2 * W)
     star = phi.star()
-    delta = Symbol(phi.n) if phi.n == 1 else star * phi - phi * star  # scalar symbols commute
-    base, agree, outside = _doubling(_selfcommutator_window(phi, star, delta, 2 * W), 1, phi.n * W,
-                                     small=_selfcommutator_window(phi, star, delta, W))
-    if not agree:
-        raise ArithmeticError("doubling test failed: window entries unstable (non-polynomial input?)")
-    return WindowedOperator(W, phi.n, base, exact=outside <= EXACT_TOL)
-
-
-def _selfcommutator_window(phi: Symbol, star: Symbol, delta: Symbol, W: int):
-    """W-window of [T*, T], given star = Phi* and delta = Phi* Phi - Phi Phi*."""
-    out = _hankel_difference(phi, star, W)
-    if not delta.is_zero():
-        out = out + toeplitz_window(delta, W).block
-    return out
+    big = _hankel_difference(phi, star, 2 * W)
+    if phi.n > 1:  # scalar symbols commute with their adjoint
+        delta = star * phi - phi * star
+        if not delta.is_zero():
+            big += toeplitz_window(delta, 2 * W).block
+    corner, exact = _doubling(big, 1, phi.n * W)
+    return WindowedOperator(W, phi.n, corner, exact=exact)
 
 
 def pseudo_selfcommutator(phi: Symbol, W: int | None = None) -> WindowedOperator:
@@ -192,24 +188,21 @@ def _hankel_corner(phi: Symbol, W: int):
     return hankel_window(phi, k).block if k else np.zeros((0, 0), dtype=complex)
 
 
-def _doubling(big, k, nW, small=None):
-    """Doubling certificate of a k x k block window against its 2W recomputation.
+def _doubling(big, k, nW):
+    """Doubling certificate of a k x k block window, read from its 2W assembly.
 
     `big` holds the window at 2W, with blocks of order 2nW.  Returns the
-    W-window (the leading nW corners of the blocks, or `small` when it is
-    given), whether `small` agrees with those corners within EXACT_TOL,
-    and the largest entry of `big` outside the corners.  The window is
-    exact when the two agree and that tail is at most EXACT_TOL.
+    W-window (the leading nW corners of the blocks, copied) and whether
+    it is exact: every entry of `big` outside those corners is at most
+    EXACT_TOL.
     """
     blocks = big.reshape(k, 2 * nW, k, 2 * nW)
-    corner = blocks[:, :nW, :, :nW].reshape(k * nW, k * nW)  # a view of `big` when k = 1
-    agree = small is None or not small.size or np.max(np.abs(corner - small)) <= EXACT_TOL
     outside = 0.0
     for i in range(k):  # block rows, so no temporary grows with k
         outside = max(outside, float(np.max(np.abs(blocks[i, nW:]))),
                       float(np.max(np.abs(blocks[i, :nW, :, nW:]))))
     # the returned window must not keep `big` alive
-    return (np.ascontiguousarray(corner) if small is None else small), agree, outside
+    return np.ascontiguousarray(blocks[:, :nW, :, :nW].reshape(k * nW, k * nW)), outside <= EXACT_TOL
 
 
 def _power_commutators(phi: Symbol, k: int, W: int):
@@ -319,29 +312,24 @@ def _decide_window(assemble, k, n, W, L, D, pad, psd_tol, not_psd_tol):
     """Positivity of a k x k block window of order n*W, decided on its support corner W* = L + D.
 
     `assemble(V)` returns the exact V-window from products on a window
-    inflated to V + pad; see `k_hypo_window`.
+    inflated to V + pad.  One assembly, at 2V with V = min(W, W*), and
+    one doubling test decide; see `k_hypo_window`.
     """
-    Ws = max(1, L + D)
-    if W <= Ws:
-        small, _, outside = _doubling(assemble(2 * W), k, n * W)
-        exact = outside <= EXACT_TOL
-        return _windowed_report(positivity_report(small, W, exact=exact, psd_tol=psd_tol,
-                                                  not_psd_tol=not_psd_tol))
-    big = assemble(2 * Ws)
-    corner, _, outside = _doubling(big, k, n * Ws)
-    if outside > EXACT_TOL:  # not normal: no window is exact
+    V = min(W, max(1, L + D))
+    big = assemble(2 * V)
+    corner, exact = _doubling(big, k, n * V)
+    if not exact and W > V:  # not normal: no window is exact
         _refuse_over_budget(n, k, W, W + pad)  # the cap the dense W-window was held to
-        return _windowed_report(_band_report(big, k, n, W, L, D, psd_tol, not_psd_tol))
-    rep = positivity_report(corner, W, exact=True, psd_tol=psd_tol, not_psd_tol=not_psd_tol)
-    rep.min_eigenvalue = min(rep.min_eigenvalue, 0.0)  # the padding adds zero eigenvalues
-    if rep.witness is not None:
-        padded = np.zeros((k, n * W), dtype=complex)
-        padded[:, : n * Ws] = rep.witness.reshape(k, n * Ws)
-        rep.witness = padded.ravel()
-    return rep
-
-
-def _windowed_report(rep):
+        rep = _band_report(big, k, n, W, L, D, psd_tol, not_psd_tol)
+    else:
+        del big  # free the 2V window before the eigensolve on its corner
+        rep = positivity_report(corner, W, exact=exact, psd_tol=psd_tol, not_psd_tol=not_psd_tol)
+        if W > V:  # the W-window is the certified corner padded with zeros
+            rep.min_eigenvalue = min(rep.min_eigenvalue, 0.0)
+            if rep.witness is not None:
+                padded = np.zeros((k, n * W), dtype=complex)
+                padded[:, : n * V] = rep.witness.reshape(k, n * V)
+                rep.witness = padded.ravel()
     if rep.verdict == "PSD" and not rep.exact:
         rep.notes.append("consistent up to window; support not certified")
     return rep

@@ -229,12 +229,8 @@ def random_coprime_rational_symbol(rng, n=2, max_deg=2, max_tries=50):
                 minus[i][j] = RationalFn(num, D)
         plus = [[_random_analytic_fn(rng, max_deg) for _ in range(n)] for _ in range(n)]
         R = RationalSymbol(n, plus, minus)
-        theta_minus, parts = dc._side_inner_lcm(R.minus, n)
-        if theta_minus.degree() == 0:
-            continue
-        B = dc._outer_grid(R.minus, parts, theta_minus, n)
-        ok, _ = bl.coprime_matrix_check(B, theta_minus)
-        if ok:
+        theta_minus, ok, _ = dc._coanalytic_coprime(R)
+        if ok and theta_minus.degree():
             return R
     raise RuntimeError("could not draw a certified-coprime symbol")
 

@@ -77,6 +77,15 @@ def test_check_k_from_file(tmp_path, capsys):
     assert out["witness"] is not None
 
 
+def test_export_witness_matches_check_k(capsys):
+    argv = ["--phi", "2z+z^2", "--k", "2", "--window", "3"]
+    code = main(["export", "witness", *argv])
+    exported = json.loads(capsys.readouterr().out)
+    assert main(["check-k", *argv]) == code == 2
+    assert json.loads(capsys.readouterr().out) == exported
+    assert exported["verdict"] == "ConsistentUpToWindow" and not exported["exact"]
+
+
 def test_check_square_notpsd(capsys):
     code = main(["check-square", "--phi", "zbar+2z", "--window", "32"])
     out = json.loads(capsys.readouterr().out)

@@ -376,6 +376,35 @@ def test_selfcommutator_huge_window_refused_up_front():
     np.testing.assert_allclose(com.block, np.diag([3.0, 0.0, 0.0]), atol=1e-12)
 
 
+def test_selfcommutator_assembles_only_at_twice_the_window(monkeypatch):
+    built = []
+    hankel_difference, toeplitz = op._hankel_difference, op.toeplitz_window
+
+    def recording_hankel_difference(phi, star, W):
+        built.append(("hankel", W))
+        return hankel_difference(phi, star, W)
+
+    def recording_toeplitz(phi, W):
+        built.append(("toeplitz", W))
+        return toeplitz(phi, W)
+
+    monkeypatch.setattr(op, "_hankel_difference", recording_hankel_difference)
+    monkeypatch.setattr(op, "toeplitz_window", recording_toeplitz)
+    com = selfcommutator_exact(NONNORMAL, 5)
+    assert built == [("hankel", 10), ("toeplitz", 10)]
+    assert com.window == 5 and not com.exact and com.block.flags.c_contiguous
+    monkeypatch.undo()
+    star = NONNORMAL.star()
+    np.testing.assert_array_equal(com.block, op._hankel_difference(NONNORMAL, star, 5)
+                                  + toeplitz_window(star * NONNORMAL - NONNORMAL * star, 5).block)
+
+
+def test_selfcommutator_window_below_bandwidth_refused():
+    with pytest.raises(ValueError, match=r"window 1 too small for bandwidth 2"):
+        selfcommutator_exact(Symbol.scalar({-2: 1, 1: 2}), 1)
+    assert selfcommutator_exact(Symbol.scalar({-2: 1, 1: 2}), 2).exact
+
+
 def _strided_view(h, W):
     # the sliding-window form the index gather in `_hankel_view` replaced
     return np.lib.stride_tricks.sliding_window_view(h, W, axis=0).transpose(0, 1, 3, 2)
