@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import sys
@@ -201,111 +202,83 @@ _DECIDED_TAGS = {
 }
 
 
-def _exit_for(tag):
+def _pairs(values):
+    """Complex numbers, nested to any depth, as [re, im] pairs."""
+    a = np.asarray(values)
+    return np.stack([a.real, a.imag], axis=-1).tolist()
+
+
+def _payload(result):
+    """JSON fields of a `Verdict` or `PositivityReport`, complex arrays as [re, im] pairs.
+
+    A PSD window without exact support is only consistent up to it.
+    """
+    payload = {f.name: getattr(result, f.name) for f in dataclasses.fields(result)}
+    for key, value in payload.items():
+        if isinstance(value, np.ndarray):
+            payload[key] = _pairs(value)
+    if payload.get("verdict") == "PSD" and not payload["exact"]:
+        payload["verdict"] = "ConsistentUpToWindow"
+    return payload
+
+
+def _exit_for(payload):
+    """The exit code of a payload: 0 when its tag (or window verdict) is decided, else 2."""
+    tag = payload["tag"] if "tag" in payload else payload["verdict"]
     return EXIT_DECIDED if tag in _DECIDED_TAGS else EXIT_UNDECIDED
 
 
-def cmd_check_hyponormal(args):
-    phi = load_symbol(args)
-    v = dc.decide_hyponormal(phi, contract_tol=args.tol_contract)
-    _emit(v.to_json_dict(), args)
-    return _exit_for(v.tag)
-
-
-def _emit_window(rep, args):
-    """Emit a window verdict; a PSD window without exact support is only consistent up to it."""
-    payload = rep.to_json_dict()
-    if rep.verdict == "PSD" and not rep.exact:
-        payload["verdict"] = "ConsistentUpToWindow"
+def _report(result, args):
+    """Emit a verdict or window report and return its exit code."""
+    payload = _payload(result)
     _emit(payload, args)
-    return _exit_for(payload["verdict"])
+    return _exit_for(payload)
 
 
-def cmd_check_k(args):
-    phi = load_symbol(args)
-    return _emit_window(op.k_hypo_window(phi, args.k, args.window, psd_tol=args.tol_psd), args)
+# suite name -> (runner, default --cases or None when it takes no cases, CSV header)
+_SUITES = {
+    "oracle-equivalence": (suites.oracle_equivalence, 200,
+                           ["case", "symbol", "verdict", "min_commutator_eig", "agree"]),
+    "model-identity": (suites.model_identity, 100,
+                       ["case", "n", "d", "deg_p", "max_deviation", "pass"]),
+    "completion-grid": (suites.completion_grid, None,
+                        ["case", "family", "params", "max_commutator_entry", "normal"]),
+    "classifier-harness": (suites.classifier_harness, 100, ["case", "tag", "violation"]),
+}
 
 
-def cmd_check_square(args):
-    phi = load_symbol(args)
-    return _emit_window(op.square_hypo_window(phi, args.window, psd_tol=args.tol_psd), args)
-
-
-def cmd_classify(args):
-    phi = load_symbol(args)
-    v = dc.classify_normal_or_analytic(phi)
-    _emit(v.to_json_dict(), args)
-    return _exit_for(v.tag)
-
-
-def cmd_complete_ustar(args):
-    phi = parse_scalar_symbol(args.phi)
-    psi = parse_scalar_symbol(args.psi)
-    v = dc.complete_ustar(phi, psi, window=args.window)
-    _emit(v.to_json_dict(), args)
-    return _exit_for(v.tag)
-
-
-def cmd_no_completion(args):
-    phi = parse_scalar_symbol(args.phi)
-    psi = parse_scalar_symbol(args.psi)
-    v = dc.no_hypo_completion_shift_pair(phi, psi, window=args.window)
-    _emit(v.to_json_dict(), args)
-    return _exit_for(v.tag)
-
-
-def cmd_suite(args):
-    if args.name == "oracle-equivalence":
-        rows, ok = suites.oracle_equivalence(cases=args.cases or 200, seed=args.seed)
-        header = ["case", "symbol", "verdict", "min_commutator_eig", "agree"]
-    elif args.name == "model-identity":
-        rows, ok = suites.model_identity(cases=args.cases or 100, seed=args.seed)
-        header = ["case", "n", "d", "deg_p", "max_deviation", "pass"]
-    elif args.name == "completion-grid":
-        rows, ok = suites.completion_grid()
-        header = ["case", "family", "params", "max_commutator_entry", "normal"]
-    elif args.name == "classifier-harness":
-        rows, ok = suites.classifier_harness(cases=args.cases or 100, seed=args.seed)
-        header = ["case", "tag", "violation"]
-    else:
-        raise ExprError(f"unknown suite {args.name}")
+def _suite(args):
+    run, cases, header = _SUITES[args.name]
+    rows, ok = run() if cases is None else run(cases=args.cases or cases, seed=args.seed)
     _write(_csv([header, *rows]), args)
     return EXIT_DECIDED if ok else EXIT_UNDECIDED
 
 
-def cmd_export(args):
-    if args.what == "model":
-        zeros = [complex(x) for x in json.loads(args.zeros)]
-        model = ms.build_M(zeros)
-        _emit({"zeros": [[a.real, a.imag] for a in model.zeros],
-               "matrix": [[[v.real, v.imag] for v in row] for row in model.matrix]}, args)
-        return EXIT_DECIDED
-    if args.what == "defect":
-        phi = load_symbol(args)
-        v = dc.decide_hyponormal(phi)
-        _emit(v.to_json_dict(), args)
-        return _exit_for(v.tag)
-    if args.what == "witness":
-        return _emit_window(op.k_hypo_window(load_symbol(args), args.k, args.window), args)
-    if args.what == "completion-residual":
-        windows = [int(w) for w in args.windows.split(",")]
-        rows = []
-        for W in windows:
-            _, res = op.normal_nontoeplitz_completion(W)
-            _, C = op.completion_selfadjoint_part(W)
-            rows.append([W, f"{res:.16e}", f"{np.linalg.norm(C, 2):.16e}"])
-        _write(_csv([["window", "interior_residual", "offdiag_norm"], *rows]), args)
-        return EXIT_DECIDED
-    if args.what == "eig-sweep":
-        phi = load_symbol(args)
-        windows = [int(w) for w in args.windows.split(",")]
-        rows = []
-        for W in windows:
-            rep = op.k_hypo_window(phi, args.k, W)
-            rows.append([W, args.k, f"{rep.min_eigenvalue:.16e}", rep.verdict, rep.exact])
-        _write(_csv([["window", "k", "min_eigenvalue", "verdict", "exact"], *rows]), args)
-        return EXIT_DECIDED
-    raise ExprError(f"unknown export target {args.what}")
+def _export_model(args):
+    model = ms.build_M([complex(x) for x in json.loads(args.zeros)])
+    _emit({"zeros": _pairs(model.zeros), "matrix": _pairs(model.matrix)}, args)
+    return EXIT_DECIDED
+
+
+def _export_completion_residual(args):
+    rows = []
+    for W in [int(w) for w in args.windows.split(",")]:
+        _, res = op.normal_nontoeplitz_completion(W)
+        _, C = op.completion_selfadjoint_part(W)
+        rows.append([W, f"{res:.16e}", f"{np.linalg.norm(C, 2):.16e}"])
+    _write(_csv([["window", "interior_residual", "offdiag_norm"], *rows]), args)
+    return EXIT_DECIDED
+
+
+def _export_eig_sweep(args):
+    """One `check-k` verdict per window; the command exits with the worst row's code."""
+    phi = load_symbol(args)
+    windows = [int(w) for w in args.windows.split(",")]
+    payloads = [_payload(op.k_hypo_window(phi, args.k, W)) for W in windows]
+    rows = [[W, args.k, f"{p['min_eigenvalue']:.16e}", p["verdict"], p["exact"]]
+            for W, p in zip(windows, payloads)]
+    _write(_csv([["window", "k", "min_eigenvalue", "verdict", "exact"], *rows]), args)
+    return max(map(_exit_for, payloads))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -337,24 +310,27 @@ def build_parser():
     sp = sub.add_parser("check-hyponormal", help="full hyponormality decision")
     add_common(sp)
     sp.add_argument("--tol-contract", type=float, default=dc.CONTRACT_TOL)
-    sp.set_defaults(func=cmd_check_hyponormal)
+    sp.set_defaults(func=lambda a: _report(
+        dc.decide_hyponormal(load_symbol(a), contract_tol=a.tol_contract), a))
 
     sp = sub.add_parser("check-k", help="k-hyponormality window test")
     add_common(sp)
     sp.add_argument("--window", type=int, default=16)
     sp.add_argument("--tol-psd", type=float, default=op.PSD_TOL)
     sp.add_argument("--k", type=int, default=2)
-    sp.set_defaults(func=cmd_check_k)
+    sp.set_defaults(func=lambda a: _report(
+        op.k_hypo_window(load_symbol(a), a.k, a.window, psd_tol=a.tol_psd), a))
 
     sp = sub.add_parser("check-square", help="hyponormality of the square, windowed")
     add_common(sp)
     sp.add_argument("--window", type=int, default=16)
     sp.add_argument("--tol-psd", type=float, default=op.PSD_TOL)
-    sp.set_defaults(func=cmd_check_square)
+    sp.set_defaults(func=lambda a: _report(
+        op.square_hypo_window(load_symbol(a), a.window, psd_tol=a.tol_psd), a))
 
     sp = sub.add_parser("classify", help="normal-or-analytic classification")
     add_common(sp)
-    sp.set_defaults(func=cmd_classify)
+    sp.set_defaults(func=lambda a: _report(dc.classify_normal_or_analytic(load_symbol(a)), a))
 
     sp = sub.add_parser("complete-ustar", help="normal completion families for the "
                         "double conjugate-shift corner")
@@ -362,7 +338,8 @@ def build_parser():
     sp.add_argument("--psi", required=True)
     sp.add_argument("--window", type=int, default=24)
     add_common(sp, symbol=False)
-    sp.set_defaults(func=cmd_complete_ustar)
+    sp.set_defaults(func=lambda a: _report(dc.complete_ustar(
+        parse_scalar_symbol(a.phi), parse_scalar_symbol(a.psi), window=a.window), a))
 
     sp = sub.add_parser("no-completion", help="hyponormal completion impossibility "
                         "for the mixed shift corner")
@@ -370,35 +347,39 @@ def build_parser():
     sp.add_argument("--psi", required=True)
     sp.add_argument("--window", type=int, default=16)
     add_common(sp, symbol=False)
-    sp.set_defaults(func=cmd_no_completion)
+    sp.set_defaults(func=lambda a: _report(dc.no_hypo_completion_shift_pair(
+        parse_scalar_symbol(a.phi), parse_scalar_symbol(a.psi), window=a.window), a))
 
     sp = sub.add_parser("suite", help="randomized/cross-validation sweeps")
-    sp.add_argument("name", choices=["oracle-equivalence", "model-identity",
-                                     "completion-grid", "classifier-harness"])
+    sp.add_argument("name", choices=list(_SUITES))
     sp.add_argument("--cases", type=int)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out")
-    sp.set_defaults(func=cmd_suite)
+    sp.set_defaults(func=_suite)
 
     sp = sub.add_parser("export", help="write matrices, witnesses, and sweeps")
-    sp.set_defaults(func=cmd_export)
     targets = sp.add_subparsers(dest="what", required=True)
     tp = targets.add_parser("model", help="shift model matrix on the given zeros (JSON)")
     tp.add_argument("--zeros", required=True, help="JSON list of model zeros, e.g. '[0, 0]'")
     add_common(tp, symbol=False)
+    tp.set_defaults(func=_export_model)
     tp = targets.add_parser("defect", help="hyponormality verdict with its defect (JSON)")
     add_common(tp)
+    tp.set_defaults(func=lambda a: _report(dc.decide_hyponormal(load_symbol(a)), a))
     tp = targets.add_parser("witness", help="k-hyponormality window report (JSON)")
     add_common(tp)
     tp.add_argument("--window", type=int, default=16)
     tp.add_argument("--k", type=int, default=2)
+    tp.set_defaults(func=lambda a: _report(op.k_hypo_window(load_symbol(a), a.k, a.window), a))
     tp = targets.add_parser("completion-residual", help="completion residual per window (CSV)")
     add_common(tp, symbol=False, fmt=False)
     tp.add_argument("--windows", default="8,16,32,64")
+    tp.set_defaults(func=_export_completion_residual)
     tp = targets.add_parser("eig-sweep", help="k-window minimum eigenvalue per window (CSV)")
     add_common(tp, fmt=False)
     tp.add_argument("--k", type=int, default=2)
     tp.add_argument("--windows", default="8,16,32,64")
+    tp.set_defaults(func=_export_eig_sweep)
 
     return p
 

@@ -25,6 +25,7 @@ MARGINAL_TOL = 1e-6
 RANK_TOL = 1e-8
 MEMBERSHIP_TOL = 1e-9
 KERNEL_RANK_TOL = 1e-9
+NORMAL_TOL = 1e-9  # the exact self-commutator vanishes when no entry exceeds this
 
 
 @dataclass
@@ -59,21 +60,6 @@ class Verdict:
     witness: np.ndarray | None = None
     family: int | None = None
     notes: list = field(default_factory=list)
-
-    def to_json_dict(self):
-        return {
-            "tag": self.tag,
-            "sigma_max": self.sigma_max,
-            "defect": None
-            if self.defect is None
-            else [[[v.real, v.imag] for v in row] for row in self.defect],
-            "rank_defect": self.rank_defect,
-            "witness": None
-            if self.witness is None
-            else [[v.real, v.imag] for v in self.witness],
-            "family": self.family,
-            "notes": list(self.notes),
-        }
 
 
 class NotRationalError(TypeError):
@@ -289,6 +275,12 @@ def _window_oracle(S: Symbol):
     return op.positivity_report(com.block, com.window, exact=com.exact)
 
 
+def commutator_max_entry(S: Symbol):
+    """(max |entry|, vanishes) of the exact self-commutator of S, against NORMAL_TOL."""
+    worst = float(np.max(np.abs(op.selfcommutator_exact(S).block)))
+    return worst, worst <= NORMAL_TOL
+
+
 def classify_normal_or_analytic(phi, square_window=None) -> Verdict:
     """Normal-or-analytic classification under the coprimality hypothesis.
 
@@ -310,8 +302,7 @@ def classify_normal_or_analytic(phi, square_window=None) -> Verdict:
     notes = ["coprime factorization certified"]
     if marginal:
         notes.append("coprimality is marginal near the cutoff")
-    com = op.selfcommutator_exact(S)
-    if float(np.max(np.abs(com.block))) <= 1e-9:
+    if commutator_max_entry(S)[1]:
         return Verdict("Normal", notes=notes)
     hypo = _decide_hyponormal(R, S)
     if hypo.tag == "Hyponormal":
@@ -370,10 +361,9 @@ def complete_ustar(phi: Symbol, psi: Symbol, window=24, tol=1e-9) -> Verdict:
     member, family = _family_membership(phi, psi, tol)
     big = double_conjugate_shift_symbol(phi, psi)
     if member:
-        com = op.selfcommutator_exact(big)
-        worst = float(np.max(np.abs(com.block))) if com.block.size else 0.0
+        worst, vanishes = commutator_max_entry(big)
         notes = [f"family {family} parameters; commutator max entry {worst:.3e}"]
-        if worst <= 1e-9:
+        if vanishes:
             return Verdict("Normal", family=family, notes=notes)
         return Verdict("Inconclusive", family=family,
                        notes=notes + ["family parameters but nonzero commutator"])

@@ -61,18 +61,6 @@ class PositivityReport:
     window: int = 0
     notes: list = field(default_factory=list)
 
-    def to_json_dict(self):
-        return {
-            "min_eigenvalue": self.min_eigenvalue,
-            "witness": None
-            if self.witness is None
-            else [[v.real, v.imag] for v in self.witness],
-            "verdict": self.verdict,
-            "exact": self.exact,
-            "window": self.window,
-            "notes": self.notes,
-        }
-
 
 def toeplitz_window(phi: Symbol, W: int) -> WindowedOperator:
     """Block (i, j) = A_{i-j} for 0 <= i, j < W."""

@@ -130,39 +130,18 @@ def completion_grid():
     """All family pairs on the parameter grid must give normal completions."""
     thetas = [0.0, np.pi / 3, np.pi]
     betas = [0.0, 1.0 + 1.0j]
+    grid = [(1, f"theta={th:.4f};omega={om:.4f};beta={beta}", dict(theta=th, omega=om, beta=beta))
+            for th in thetas for om in thetas for beta in betas]
+    grid += [(2, f"|alpha|={mod};theta={th:.4f};beta={beta}",
+              dict(theta=th, alpha=mod * np.exp(1j * np.pi / 7), beta=beta))
+             for mod in (0.5, 1.0, 2.0) for th in thetas for beta in betas]
     rows = []
-    ok = True
-    case = 0
-    for th in thetas:
-        for om in thetas:
-            for beta in betas:
-                phi, psi = family_pair(1, theta=th, omega=om, beta=beta)
-                v = dc.complete_ustar(phi, psi)
-                worst = _grid_commutator_entry(phi, psi)
-                good = v.tag == "Normal" and worst <= 1e-9
-                ok = ok and good
-                rows.append([case, 1, f"theta={th:.4f};omega={om:.4f};beta={beta}",
-                             f"{worst:.3e}", good])
-                case += 1
-    for mod in (0.5, 1.0, 2.0):
-        for th in thetas:
-            for beta in betas:
-                alpha = mod * np.exp(1j * np.pi / 7)
-                phi, psi = family_pair(2, theta=th, alpha=alpha, beta=beta)
-                v = dc.complete_ustar(phi, psi)
-                worst = _grid_commutator_entry(phi, psi)
-                good = v.tag == "Normal" and worst <= 1e-9
-                ok = ok and good
-                rows.append([case, 2, f"|alpha|={mod};theta={th:.4f};beta={beta}",
-                             f"{worst:.3e}", good])
-                case += 1
-    return rows, ok
-
-
-def _grid_commutator_entry(phi, psi):
-    big = dc.double_conjugate_shift_symbol(phi, psi)
-    com = op.selfcommutator_exact(big)
-    return float(np.max(np.abs(com.block))) if com.block.size else 0.0
+    for case, (family, params, kwargs) in enumerate(grid):
+        phi, psi = family_pair(family, **kwargs)
+        v = dc.complete_ustar(phi, psi)
+        worst, vanishes = dc.commutator_max_entry(dc.double_conjugate_shift_symbol(phi, psi))
+        rows.append([case, family, params, f"{worst:.3e}", v.tag == "Normal" and vanishes])
+    return rows, all(row[-1] for row in rows)
 
 
 def nonfamily_pair(rng):

@@ -174,6 +174,40 @@ def test_export_eig_sweep(capsys):
     assert all(b <= a + 1e-9 for a, b in zip(eigs, eigs[1:]))
 
 
+def test_export_eig_sweep_rows_read_as_check_k(capsys):
+    # a PSD row without exact support is only consistent up to its window, and
+    # the command exits with its worst row's code, as check-k does on that window
+    code = main(["export", "eig-sweep", "--phi", "2z+z^2", "--k", "2", "--windows", "3,16"])
+    rows = [line.split(",") for line in capsys.readouterr().out.strip().splitlines()[1:]]
+    assert code == 2
+    assert [(r[0], r[1], r[3], r[4]) for r in rows] == [
+        ("3", "2", "ConsistentUpToWindow", "False"), ("16", "2", "PSD", "True")]
+    assert main(["check-k", "--phi", "2z+z^2", "--k", "2", "--window", "3"]) == 2
+    assert json.loads(capsys.readouterr().out)["verdict"] == "ConsistentUpToWindow"
+
+
+RESULT_KEYS = {
+    "verdict": {"tag", "sigma_max", "defect", "rank_defect", "witness", "family", "notes"},
+    "window": {"min_eigenvalue", "witness", "verdict", "exact", "window", "notes"},
+}
+
+
+@pytest.mark.parametrize("command, result", [
+    ("check-hyponormal --phi zbar+2z", "verdict"),
+    ("classify --phi 2z", "verdict"),
+    ("complete-ustar --phi z --psi z", "verdict"),
+    ("no-completion --phi=z --psi=-zbar", "verdict"),
+    ("export defect --phi zbar+2z", "verdict"),
+    ("check-k --phi zbar+2z --k 2 --window 8", "window"),
+    ("check-square --phi zbar+2z", "window"),
+    ("export witness --phi zbar+2z", "window"),
+])
+def test_json_keys_per_command(command, result, capsys):
+    # a field added to a result type must not reach the CLI output unnoticed
+    main(shlex.split(command))
+    assert set(json.loads(capsys.readouterr().out)) == RESULT_KEYS[result]
+
+
 def test_verdict_csv_format(capsys):
     code = main(["check-hyponormal", "--phi", "zbar+2z", "--format", "csv"])
     text = capsys.readouterr().out

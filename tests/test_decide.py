@@ -172,6 +172,20 @@ def test_complete_ustar_family_grid():
     assert ok
 
 
+def test_normality_cutoff_has_one_owner(monkeypatch):
+    # classification, completion verdicts and the family grid read the same cutoff
+    c = 2 - 1j
+    normal = Symbol.scalar({-1: np.conj(c), 1: c})
+    z = Symbol.scalar({1: 1})
+    assert dc.commutator_max_entry(normal)[1]
+    monkeypatch.setattr(dc, "NORMAL_TOL", -1.0)
+    assert not dc.commutator_max_entry(normal)[1]
+    assert classify_normal_or_analytic(normal).tag != "Normal"
+    assert complete_ustar(z, z).tag == "Inconclusive"
+    rows, ok = suites.completion_grid()
+    assert not ok and not any(row[-1] for row in rows)
+
+
 def test_complete_ustar_outside_family():
     phi = Symbol.scalar({-2: 1, 2: 2})
     v = complete_ustar(phi, phi, window=16)
