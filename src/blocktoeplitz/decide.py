@@ -1,11 +1,14 @@
 """Decision engine for hyponormality, classification, and completions.
 
-The main pipeline reduces a rational symbol to a finite contractivity
-test: factor the analytic/co-analytic parts through diagonal inner
-functions, solve the node interpolation systems for a polynomial member
-of the candidate set, evaluate it at the triangular shift model, and
-compare the largest singular value against 1.  Exact finite-window
-operators serve as the independent fallback oracle.
+The main pipeline reduces a symbol to a finite contractivity test: solve
+the node interpolation systems for a polynomial member K of the
+candidate set, evaluate it at the triangular model of the compressed
+shift, and compare the largest singular value against 1.  A
+trigonometric polynomial (`Symbol`) is decided on its coefficient stack:
+its one node is 0 and its model the nilpotent shift.  A rational symbol
+is factored through diagonal Blaschke products and interpolated on their
+Taylor jets; that general route is also the first one's test oracle.
+Exact finite-window operators serve as the independent fallback oracle.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from . import blaschke as bl
 from . import modelspace as ms
 from . import operators as op
 from .rational import RationalFn
-from .symbols import Symbol, RationalSymbol, is_normal_symbol
+from .symbols import Symbol, RationalSymbol, _prune, is_normal_symbol
 
 CONTRACT_TOL = 1e-9
 MARGINAL_TOL = 1e-6
@@ -26,6 +29,7 @@ RANK_TOL = 1e-8
 MEMBERSHIP_TOL = 1e-9
 KERNEL_RANK_TOL = 1e-9
 NORMAL_TOL = 1e-9  # the exact self-commutator vanishes when no entry exceeds this
+_ORIGIN = bl.BlaschkeProduct.monomial(1)  # z: its zero is the one node of a trigonometric polynomial
 
 
 @dataclass
@@ -85,25 +89,19 @@ def factorize(phi) -> HypoFactorization:
     R = _as_rational_symbol(phi)
     n = R.n
     theta_plus, tau = _side_inner_lcm(R.plus, n)
-    theta_minus, sig = _side_inner_lcm(R.minus, n)
+    theta_minus, B = _coanalytic_factor(R)
     if not bl.divides(theta_minus, theta_plus):
-        raise DivisibilityError(theta_minus, theta_plus)
+        raise DivisibilityError(theta_minus.degree(), theta_plus.degree())
     theta0 = theta_plus.quotient(theta_minus)
     A = _outer_grid(R.plus, tau, theta_plus, n)
-    B = _outer_grid(R.minus, sig, theta_minus, n)
     return HypoFactorization(theta_minus, theta0, A, B, n)
 
 
 class DivisibilityError(ValueError):
-    """Co-analytic inner part does not divide the analytic inner part."""
+    """Co-analytic inner part (degree m) does not divide the analytic one (degree N)."""
 
-    def __init__(self, theta_minus, theta_plus):
-        self.theta_minus = theta_minus
-        self.theta_plus = theta_plus
-        super().__init__(
-            f"inner divisibility fails: degree {theta_minus.degree()} part "
-            f"does not divide degree {theta_plus.degree()} part"
-        )
+    def __init__(self, m, N):
+        super().__init__(f"inner divisibility fails: degree {m} part does not divide degree {N} part")
 
 
 def _side_inner_lcm(entries, n):
@@ -136,10 +134,17 @@ def _outer_grid(entries, parts, theta_side, n):
     return A
 
 
+def _coanalytic_factor(R):
+    """(Theta_minus, B) with Phi_minus = Theta_minus B^*, where Phi = Phi_minus^* + Phi_plus:
+    conj(R.minus[i][j]) is Phi's co-analytic entry (i, j), so Phi_minus's (j, i) is R.minus[i][j]."""
+    minus = [[R.minus[j][i] for j in range(R.n)] for i in range(R.n)]
+    theta_minus, parts = _side_inner_lcm(minus, R.n)
+    return theta_minus, _outer_grid(minus, parts, theta_minus, R.n)
+
+
 def _coanalytic_coprime(R):
     """(Theta_minus, ok, marginal): the coprimality certificate of R's co-analytic factorization."""
-    theta_minus, parts = _side_inner_lcm(R.minus, R.n)
-    B = _outer_grid(R.minus, parts, theta_minus, R.n)
+    theta_minus, B = _coanalytic_factor(R)
     return (theta_minus, *bl.coprime_matrix_check(B, theta_minus))
 
 
@@ -192,82 +197,161 @@ def _interpolation_data(fact: HypoFactorization):
     return nodes, A_data, B_data
 
 
-def decide_hyponormal(phi, window_fallback=True, contract_tol=CONTRACT_TOL) -> Verdict:
-    """Full decision pipeline for a rational matrix symbol.
+class _ShiftRoute:
+    """A trigonometric polynomial sum_{j=-m}^{N} A_j z^j, decided on its coefficient stack.
 
-    Order of gates: symbol normality, inner divisibility (plus the
-    numeric kernel-inclusion test for matrix symbols), solvability of the
-    node systems, candidate membership, contractivity of the interpolant
-    at the shift model.  A contractive interpolant certifies Hyponormal
-    with the defect matrix and its numerical rank; a strict expansion is
-    NotHyponormal whenever the compressed outer factor is invertible
-    (always, for scalar symbols), and Inconclusive otherwise, with the
-    finite-window commutator consulted for a witness.
+    Every inner factor is z^N, so the one node is 0 and the model is the
+    nilpotent shift S on C^N.  Coefficients are pruned entrywise as in
+    `RationalSymbol.from_symbol`, so both routes solve the same numbers.
     """
-    R = _as_rational_symbol(phi)
-    return _decide_hyponormal(R, phi if isinstance(phi, Symbol) else R.to_symbol(),
-                              window_fallback, contract_tol)
+
+    def __init__(self, S):
+        self.S = S
+        self.m, self.N = S.degree_bounds()
+        self.analytic = self.m == 0
+
+    def coanalytic_coprime(self):
+        """(ok, marginal) for the inner part z^m, whose outer factor is A_{-m} at 0."""
+        return bl.coprime_matrix_check(lambda _: _prune(self.S.coeff(-self.m)), _ORIGIN)
+
+    def factor(self):
+        """The model degree N, or DivisibilityError when z^m does not divide z^N."""
+        if self.m > self.N:
+            raise DivisibilityError(self.m, self.N)
+        return self.N
+
+    def solve(self):
+        """(K, least-squares nodes) from sum_{i=0}^{N-j} K_i A_{i+j}^* = A_{-j}, j = N..1,
+        as `ms.hermite_fejer_solve` solves the one node 0."""
+        N, n = self.N, self.S.n
+        C = _prune(self.S.coeffs(-N, N))
+        A = self.outer = np.ascontiguousarray(C[:N:-1].transpose(0, 2, 1).conj())  # A_N^*, ..., A_1^*
+        B = C[:N]  # A_{-N}, ..., A_{-1}
+        if np.linalg.svd(A[0], compute_uv=False)[-1] <= 1e-9:
+            Ks, residual = ms._solve_node_lsq(A, B, n, 1e-12)
+            if residual > 1e-7:
+                raise ms.InterpolationInconsistent(0j, residual)
+            return Symbol.from_coeffs(0, Ks), [0]
+        A0inv = np.linalg.inv(A[0])
+        Ks = []
+        for j in range(N):
+            rhs = B[j].copy()
+            for l in range(1, j + 1):
+                rhs -= Ks[j - l] @ A[l]
+            Ks.append(rhs @ A0inv)
+        return Symbol.from_coeffs(0, Ks), []
+
+    def at_model(self, K):
+        """sum_i kron(S^i, K_i): block (r, c) is K_{r-c}, zero above the diagonal."""
+        N, n = self.N, self.S.n
+        T = K.coeffs(1 - N, N - 1)[np.arange(N)[:, None] - np.arange(N) + N - 1]
+        return T.transpose(0, 2, 1, 3).reshape(N * n, N * n)
+
+    def outer_invertible(self):
+        return bl.coprime_matrix_check(lambda _: self.outer[0], _ORIGIN)[0]
 
 
-def _decide_hyponormal(R, S, window_fallback=True, contract_tol=CONTRACT_TOL) -> Verdict:
-    """`decide_hyponormal` on the rational symbol R and its Fourier symbol S."""
+class _BlaschkeRoute:
+    """A rational symbol: Blaschke factorization, Taylor jets at its zeros, product-rule model."""
+
+    def __init__(self, R):
+        self.R, self.S, self.analytic = R, R.to_symbol(), R.is_analytic()
+
+    def coanalytic_coprime(self):
+        return _coanalytic_coprime(self.R)[1:]
+
+    def factor(self):
+        self.fact = factorize(self.R)
+        self.theta = self.fact.theta_full
+        return self.theta.degree()
+
+    def solve(self):
+        K = ms.hermite_fejer_solve(*_interpolation_data(self.fact), n=self.R.n)
+        return K.poly, K.lsq_nodes
+
+    def at_model(self, K):
+        return ms.poly_of_M(K, ms.build_M(self.theta.zero_list()))
+
+    def outer_invertible(self):
+        return bl.coprime_matrix_check(self.fact.A, self.theta)[0]
+
+
+def _route(phi):
+    return _ShiftRoute(phi) if isinstance(phi, Symbol) else _BlaschkeRoute(_as_rational_symbol(phi))
+
+
+def decide_hyponormal(phi, window_fallback=True, contract_tol=CONTRACT_TOL) -> Verdict:
+    """Full decision pipeline for a matrix symbol.
+
+    A trigonometric polynomial (`Symbol`) is decided on its coefficient
+    stack at the nilpotent shift model, a `RationalSymbol` through its
+    Blaschke factorization.  Order of gates, on both routes: symbol
+    normality, inner divisibility (plus the numeric kernel-inclusion test
+    for matrix symbols), solvability of the node systems, candidate
+    membership, contractivity of the interpolant at the shift model.  A
+    contractive interpolant certifies Hyponormal with the defect matrix
+    and its numerical rank; a strict expansion is NotHyponormal whenever
+    the compressed outer factor is invertible (always, for scalar
+    symbols), and Inconclusive otherwise, with the finite-window
+    commutator consulted for a witness.
+    """
+    return _decide_hyponormal(_route(phi), window_fallback, contract_tol)
+
+
+def _decide_hyponormal(route, window_fallback=True, contract_tol=CONTRACT_TOL) -> Verdict:
+    """`decide_hyponormal` along a `_ShiftRoute` or a `_BlaschkeRoute`."""
+    S = route.S
     if not is_normal_symbol(S):
         return Verdict("NotHyponormal", notes=["symbol is not normal"])
     try:
-        fact = factorize(R)
+        d = route.factor()
     except DivisibilityError as e:
         return Verdict("NotHyponormal", notes=[str(e)])
-    if R.n > 1 and not kernel_inclusion_holds(S):
+    if S.n > 1 and not kernel_inclusion_holds(S):
         return Verdict("NotHyponormal", notes=["candidate set is empty (kernel inclusion fails)"])
-    d = fact.theta_full.degree()
     if d == 0:
         # constant-inner symbol: the operator is a (shifted) analytic/constant one
         return Verdict("Hyponormal", sigma_max=0.0, defect=np.zeros((0, 0)), rank_defect=0,
                        notes=["trivial model space"])
-    nodes, A_data, B_data = _interpolation_data(fact)
     try:
-        K = ms.hermite_fejer_solve(nodes, A_data, B_data, n=fact.n)
+        K, lsq_nodes = route.solve()
     except ms.InterpolationInconsistent as e:
         return Verdict("NotHyponormal", notes=[f"candidate set is empty: {e}"])
     notes = []
-    if K.lsq_nodes:
-        notes.append(f"least-squares fallback at nodes {K.lsq_nodes}")
-    if not verify_in_C(S, K.poly):
+    if lsq_nodes:
+        notes.append(f"least-squares fallback at nodes {lsq_nodes}")
+    if not verify_in_C(S, K):
         notes.append("interpolant failed membership verification")
         return Verdict("Inconclusive", notes=notes)
-    model = ms.build_M(fact.theta_full.zero_list())
-    KM = ms.poly_of_M(K.poly, model)
+    KM = route.at_model(K)
     sigma = float(np.linalg.svd(KM, compute_uv=False)[0]) if KM.size else 0.0
     if sigma <= 1.0 + contract_tol:
         defect = np.eye(KM.shape[0]) - KM.conj().T @ KM
         vals = np.linalg.eigvalsh(0.5 * (defect + defect.conj().T))
         rank = int(np.sum(vals > RANK_TOL))
         return Verdict("Hyponormal", sigma_max=sigma, defect=defect, rank_defect=rank, notes=notes)
-    if sigma <= 1.0 + max(MARGINAL_TOL, contract_tol * 10):
+    marginal = sigma <= 1.0 + max(MARGINAL_TOL, contract_tol * 10)
+    # a strict expansion is decided by the converse direction when available
+    if marginal:
         notes.append(f"contractivity marginal: sigma_max = {sigma:.12g}")
-        if window_fallback:
-            rep = _window_oracle(S)
-            if rep.verdict == "NotPSD":
-                return Verdict("NotHyponormal", sigma_max=sigma, witness=rep.witness,
-                               notes=notes + ["window oracle found a negative direction"])
-            if rep.verdict == "PSD" and rep.exact:
-                return Verdict("Hyponormal", sigma_max=sigma, notes=notes + ["window oracle exact PSD"])
-        return Verdict("Marginal", sigma_max=sigma, notes=notes)
-    # strict expansion: decide via the converse direction when available
-    if fact.n == 1:
+    elif S.n == 1:
         return Verdict("NotHyponormal", sigma_max=sigma,
                        notes=notes + ["interpolant is expansive at the model"])
-    if bl.coprime_matrix_check(fact.A, fact.theta_full)[0]:
+    elif route.outer_invertible():
         return Verdict("NotHyponormal", sigma_max=sigma,
                        notes=notes + ["interpolant is expansive; compressed outer factor invertible"])
-    notes.append("outer factor singular at a model zero; converse unavailable")
+    else:
+        notes.append("outer factor singular at a model zero; converse unavailable")
     if window_fallback:
         rep = _window_oracle(S)
         if rep.verdict == "NotPSD":
             return Verdict("NotHyponormal", sigma_max=sigma, witness=rep.witness,
                            notes=notes + ["window oracle found a negative direction"])
-        notes.append(f"window oracle: {rep.verdict}")
-    return Verdict("Inconclusive", sigma_max=sigma, notes=notes)
+        if marginal and rep.verdict == "PSD" and rep.exact:
+            return Verdict("Hyponormal", sigma_max=sigma, notes=notes + ["window oracle exact PSD"])
+        if not marginal:
+            notes.append(f"window oracle: {rep.verdict}")
+    return Verdict("Marginal" if marginal else "Inconclusive", sigma_max=sigma, notes=notes)
 
 
 def _window_oracle(S: Symbol):
@@ -291,20 +375,20 @@ def classify_normal_or_analytic(phi, square_window=None) -> Verdict:
     and the squared-window test contradicts the classification guarantee
     and is flagged THEOREM-VIOLATION for the harness to count.
     """
-    R = _as_rational_symbol(phi)
-    S = phi if isinstance(phi, Symbol) else R.to_symbol()
-    if R.is_analytic():
+    route = _route(phi)
+    if route.analytic:
         return Verdict("Analytic", notes=["co-analytic part vanishes"])
-    _, ok, marginal = _coanalytic_coprime(R)
+    ok, marginal = route.coanalytic_coprime()
     if not ok:
         return Verdict("HypothesisNotMet",
                        notes=["co-analytic factorization is not coprime; hypothesis not met"])
     notes = ["coprime factorization certified"]
     if marginal:
         notes.append("coprimality is marginal near the cutoff")
+    S = route.S
     if commutator_max_entry(S)[1]:
         return Verdict("Normal", notes=notes)
-    hypo = _decide_hyponormal(R, S)
+    hypo = _decide_hyponormal(route)
     if hypo.tag == "Hyponormal":
         W = square_window or max(16, 4 * S.bandwidth() + 4)
         sq = op.square_hypo_window(S, W)

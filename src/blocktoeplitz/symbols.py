@@ -281,8 +281,9 @@ class RationalSymbol:
     def from_symbol(cls, phi: Symbol):
         n = phi.n
         P, M = (_prune(s.coeffs(0, s.hi)) for s in phi.split())
+        # minus[i][j] is conj of the co-analytic entry (i, j): the (j, i) entry of the split's minus
         return cls(n, [[RationalFn(P[:, i, j]) for j in range(n)] for i in range(n)],
-                   [[RationalFn(M[:, i, j]) for j in range(n)] for i in range(n)])
+                   [[RationalFn(M[:, j, i]) for j in range(n)] for i in range(n)])
 
     def to_symbol(self, tail_tol=TAIL_TOL):
         n = self.n

@@ -3,6 +3,7 @@ import pytest
 import scipy.stats
 from hypothesis import given, settings, strategies as st
 
+from blocktoeplitz import blaschke as bl
 from blocktoeplitz import decide as dc
 from blocktoeplitz import operators as op
 from blocktoeplitz import suites
@@ -18,6 +19,9 @@ from blocktoeplitz.rational import RationalFn
 from blocktoeplitz.symbols import Symbol, RationalSymbol, sup_norm
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
+E11 = np.array([[1, 0], [0, 0]], dtype=complex)
+E12 = np.array([[0, 1], [0, 0]], dtype=complex)
+E22 = np.array([[0, 0], [0, 1]], dtype=complex)
 
 PHI_QUARTIC = Symbol.scalar({-2: 1, -1: 2, 1: 1, 2: 2})  # zbar^2 + 2zbar + z + 2z^2
 PHI_MATRIX_GAP = Symbol(2, {-1: np.eye(2), -2: X, 2: 2 * X})
@@ -293,17 +297,38 @@ def _diagonal(p1, p2):
     return lo, c
 
 
-def test_unitary_conjugated_diagonal_sweep():
-    # T of U diag(p1, p2) U* is unitarily equivalent to T_p1 + T_p2, so the scalar
-    # verdicts are ground truth; these symbols reach the singular-node least squares
+def _unitary_diagonal_cases():
+    """The 150 seeded ((p1, p2), U diag(p1, p2) U*) cases."""
     rng = np.random.default_rng(7)
-    tags = []
-    for case in range(150):
+    for _ in range(150):
         p1 = suites.random_scalar_trig(rng, max_deg=3)
         p2 = suites.random_scalar_trig(rng, max_deg=3)
         U = scipy.stats.unitary_group.rvs(2, random_state=int(rng.integers(1 << 30)))
         lo, c = _diagonal(p1, p2)
-        v = decide_hyponormal(Symbol.from_coeffs(lo, U @ c @ U.conj().T))
+        yield (p1, p2), Symbol.from_coeffs(lo, U @ c @ U.conj().T)
+
+
+def _normal_polynomial_cases():
+    """150 seeded ((p + lam q for each eigenvalue lam of X), p I + q X) cases, X a fixed
+    random normal 3 x 3 matrix: T of p I + q X is unitarily equivalent to the direct sum."""
+    rng = np.random.default_rng(11)
+    Q = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0]
+    lam = rng.normal(size=3) + 1j * rng.normal(size=3)
+    X = Q @ np.diag(lam) @ Q.conj().T
+    for _ in range(150):
+        p, q = (suites.random_scalar_trig(rng, max_deg=3) for _ in range(2))
+        lo, hi = min(p.lo, q.lo), max(p.hi, q.hi)
+        P, Qc = p.coeffs(lo, hi), q.coeffs(lo, hi)
+        yield (tuple(Symbol.from_coeffs(lo, P + l * Qc) for l in lam),
+               Symbol.from_coeffs(lo, P * np.eye(3) + Qc * X))
+
+
+def test_unitary_conjugated_diagonal_sweep():
+    # T of U diag(p1, p2) U* is unitarily equivalent to T_p1 + T_p2, so the scalar
+    # verdicts are ground truth; these symbols reach the singular-node least squares
+    tags = []
+    for case, ((p1, p2), phi) in enumerate(_unitary_diagonal_cases()):
+        v = decide_hyponormal(phi)
         truth = all(decide_hyponormal(p).tag == "Hyponormal" for p in (p1, p2))
         assert v.tag == ("Hyponormal" if truth else "NotHyponormal"), (case, v.notes)
         tags.append(v.tag)
@@ -347,3 +372,91 @@ def test_scalar_trig_decisions_find_no_roots(monkeypatch):
         op.selfcommutator_exact(phi)
     assert tags == {"Hyponormal", "NotHyponormal"}
     assert calls == []
+
+
+# -- trigonometric polynomials: the coefficient-stack route against the Blaschke route ------
+
+
+def _both_routes(phi):
+    """decide_hyponormal on phi and on its RationalSymbol, asserted identical; the first."""
+    a, b = decide_hyponormal(phi), decide_hyponormal(RationalSymbol.from_symbol(phi))
+    assert (a.tag, a.notes, a.rank_defect) == (b.tag, b.notes, b.rank_defect), phi
+    for x, y in ((a.sigma_max, b.sigma_max), (a.defect, b.defect)):
+        assert (x is None) == (y is None)
+        if x is not None:
+            np.testing.assert_allclose(x, y, rtol=0, atol=1e-12)
+    return a
+
+
+GATE_CASES = {  # name: (symbol, tag, a note the deciding gate writes)
+    "divisibility": (Symbol.scalar({-3: 1, 1: 1}), "NotHyponormal",
+                     "inner divisibility fails: degree 3 part does not divide degree 1 part"),
+    "trivial-model": (Symbol.scalar({0: 2 - 1j}), "Hyponormal", "trivial model space"),
+    "symbol-normality": (Symbol(2, {0: E12}), "NotHyponormal", "symbol is not normal"),
+    "least-squares": (Symbol(2, {1: np.ones((2, 2))}), "Hyponormal",
+                      "least-squares fallback at nodes [0]"),
+    "matrix-gap": (PHI_MATRIX_GAP, "Hyponormal", None),
+    "marginal-window-oracle": (Symbol.scalar({-1: 1 + 1e-7, 1: 1}), "Marginal",
+                               "contractivity marginal: sigma_max = 1.0000001"),
+    "expansive": (Symbol.scalar({-1: 2, 1: 1}), "NotHyponormal",
+                  "interpolant is expansive at the model"),
+    "kernel-inclusion": (Symbol(2, {-1: E22, 1: E11}), "NotHyponormal",
+                         "candidate set is empty (kernel inclusion fails)"),
+    "matrix-converse": (Symbol(2, {-1: 2 * np.eye(2), 1: np.eye(2)}), "NotHyponormal",
+                        "interpolant is expansive; compressed outer factor invertible"),
+    "matrix-converse-unavailable": (Symbol(2, {-1: 2 * E11, 1: E11, 2: E22}), "NotHyponormal",
+                                    "outer factor singular at a model zero; converse unavailable"),
+}
+
+
+@pytest.mark.parametrize("name", list(GATE_CASES))
+def test_routes_agree_gate_for_gate(name):
+    phi, tag, note = GATE_CASES[name]
+    v = _both_routes(phi)
+    assert v.tag == tag
+    assert note is None or note in v.notes, v.notes
+
+
+def test_trig_polynomials_construct_no_rational_machinery(monkeypatch):
+    built = []
+    for cls, name in ((RationalFn, "__init__"), (bl.BlaschkeProduct, "__post_init__")):
+        def counting(self, *args, _orig=getattr(cls, name), **kwargs):
+            built.append(type(self).__name__)
+            return _orig(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, name, counting)
+    for name in GATE_CASES:
+        decide_hyponormal(GATE_CASES[name][0])
+    tags = [classify_normal_or_analytic(phi).tag for phi in (
+        Symbol.scalar({-1: 1, 1: 2}), Symbol.scalar({1: 2}), PHI_MATRIX_GAP,
+        Symbol(2, {-1: E11, 1: np.eye(2)}))]
+    assert tags == ["Neither", "Analytic", "Neither", "HypothesisNotMet"]
+    assert built == []
+    RationalFn([1.0])  # the patch itself counts
+    assert built == ["RationalFn"]
+
+
+def _pool_symbol(i):
+    """Scalar pool case i, as the benchmark draws it."""
+    return suites.random_scalar_trig(np.random.default_rng([1, i]), max_deg=4)
+
+
+def test_symbol_coprimality_matches_the_blaschke_route():
+    symbols = [_pool_symbol(i) for i in range(500)]
+    symbols += [phi for _, phi in _unitary_diagonal_cases()] + [phi for _, phi in _normal_polynomial_cases()]
+    refused = 0
+    for phi in symbols:
+        if phi.lo < 0:
+            ok, marginal = dc._route(phi).coanalytic_coprime()
+            assert (ok, marginal) == dc._coanalytic_coprime(RationalSymbol.from_symbol(phi))[1:]
+            refused += not ok
+    assert refused > 0  # singular A_{-m}, as in U diag(p1, p2) U* with deg p1 != deg p2 on the co-analytic side
+    assert classify_normal_or_analytic(Symbol(2, {-1: E11, 1: np.eye(2)})).tag == "HypothesisNotMet"
+
+
+def test_routes_agree_on_pool_and_matrix_sweeps():
+    for i in range(1000):
+        _both_routes(_pool_symbol(i))
+    for parts, phi in list(_unitary_diagonal_cases()) + list(_normal_polynomial_cases()):
+        truth = all(decide_hyponormal(p).tag == "Hyponormal" for p in parts)
+        assert _both_routes(phi).tag == ("Hyponormal" if truth else "NotHyponormal")

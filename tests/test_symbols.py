@@ -147,6 +147,12 @@ def test_rational_symbol_matrix_embedding():
     assert phi.equals(R.to_symbol(), 1e-13)
 
 
+def test_rational_symbol_embedding_keeps_nonsymmetric_coanalytic_entries():
+    # conj(minus[i][j]) is entry (i, j) of the co-analytic part, in both directions
+    phi = Symbol(2, {-2: np.array([[1, 2j], [0, 0]]), -1: np.array([[0, 3], [-1, 1j]]), 1: X})
+    assert phi.equals(RationalSymbol.from_symbol(phi).to_symbol(), 1e-13)
+
+
 def test_multiply_associative():
     rng = np.random.default_rng(9)
     a, b, c = (random_symbol(rng) for _ in range(3))
