@@ -221,25 +221,13 @@ class _ShiftRoute:
         return self.N
 
     def solve(self):
-        """(K, least-squares nodes) from sum_{i=0}^{N-j} K_i A_{i+j}^* = A_{-j}, j = N..1,
-        as `ms.hermite_fejer_solve` solves the one node 0."""
-        N, n = self.N, self.S.n
+        """(K, least-squares nodes) from sum_{i=0}^{N-j} K_i A_{i+j}^* = A_{-j}, j = N..1: the node
+        system at 0 with jets A_N^*, ..., A_1^* and A_{-N}, ..., A_{-1}, whose jets are K's coefficients."""
+        N = self.N
         C = _prune(self.S.coeffs(-N, N))
-        A = self.outer = np.ascontiguousarray(C[:N:-1].transpose(0, 2, 1).conj())  # A_N^*, ..., A_1^*
-        B = C[:N]  # A_{-N}, ..., A_{-1}
-        if np.linalg.svd(A[0], compute_uv=False)[-1] <= 1e-9:
-            Ks, residual = ms._solve_node_lsq(A, B, n, 1e-12)
-            if residual > 1e-7:
-                raise ms.InterpolationInconsistent(0j, residual)
-            return Symbol.from_coeffs(0, Ks), [0]
-        A0inv = np.linalg.inv(A[0])
-        Ks = []
-        for j in range(N):
-            rhs = B[j].copy()
-            for l in range(1, j + 1):
-                rhs -= Ks[j - l] @ A[l]
-            Ks.append(rhs @ A0inv)
-        return Symbol.from_coeffs(0, Ks), []
+        self.outer = C[:N:-1].transpose(0, 2, 1).conj()
+        Ks, lsq = ms.solve_node(0j, self.outer, C[:N], self.S.n)
+        return Symbol.from_coeffs(0, Ks), [0] if lsq else []
 
     def at_model(self, K):
         """sum_i kron(S^i, K_i): block (r, c) is K_{r-c}, zero above the diagonal."""
@@ -330,28 +318,31 @@ def _decide_hyponormal(route, window_fallback=True, contract_tol=CONTRACT_TOL) -
         vals = np.linalg.eigvalsh(0.5 * (defect + defect.conj().T))
         rank = int(np.sum(vals > RANK_TOL))
         return Verdict("Hyponormal", sigma_max=sigma, defect=defect, rank_defect=rank, notes=notes)
-    marginal = sigma <= 1.0 + max(MARGINAL_TOL, contract_tol * 10)
-    # a strict expansion is decided by the converse direction when available
-    if marginal:
+    if sigma <= 1.0 + max(MARGINAL_TOL, contract_tol * 10):
         notes.append(f"contractivity marginal: sigma_max = {sigma:.12g}")
-    elif S.n == 1:
+        if window_fallback:
+            rep = _window_oracle(S)
+            if rep.verdict == "NotPSD":
+                return Verdict("NotHyponormal", sigma_max=sigma, witness=rep.witness,
+                               notes=notes + ["window oracle found a negative direction"])
+            if rep.verdict == "PSD" and rep.exact:
+                return Verdict("Hyponormal", sigma_max=sigma, notes=notes + ["window oracle exact PSD"])
+        return Verdict("Marginal", sigma_max=sigma, notes=notes)
+    # strict expansion: decide via the converse direction when available
+    if S.n == 1:
         return Verdict("NotHyponormal", sigma_max=sigma,
                        notes=notes + ["interpolant is expansive at the model"])
-    elif route.outer_invertible():
+    if route.outer_invertible():
         return Verdict("NotHyponormal", sigma_max=sigma,
                        notes=notes + ["interpolant is expansive; compressed outer factor invertible"])
-    else:
-        notes.append("outer factor singular at a model zero; converse unavailable")
+    notes.append("outer factor singular at a model zero; converse unavailable")
     if window_fallback:
         rep = _window_oracle(S)
         if rep.verdict == "NotPSD":
             return Verdict("NotHyponormal", sigma_max=sigma, witness=rep.witness,
                            notes=notes + ["window oracle found a negative direction"])
-        if marginal and rep.verdict == "PSD" and rep.exact:
-            return Verdict("Hyponormal", sigma_max=sigma, notes=notes + ["window oracle exact PSD"])
-        if not marginal:
-            notes.append(f"window oracle: {rep.verdict}")
-    return Verdict("Marginal" if marginal else "Inconclusive", sigma_max=sigma, notes=notes)
+        notes.append(f"window oracle: {rep.verdict}")
+    return Verdict("Inconclusive", sigma_max=sigma, notes=notes)
 
 
 def _window_oracle(S: Symbol):

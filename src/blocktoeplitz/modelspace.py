@@ -206,24 +206,31 @@ def hermite_fejer_solve(nodes, A_data, B_data, n=None, rcond=1e-12) -> Interpola
     for i, (alpha, m) in enumerate(nodes):
         A = [np.asarray(A_data[i][j], dtype=complex) for j in range(m)]
         B = [np.asarray(B_data[i][j], dtype=complex) for j in range(m)]
-        A0 = A[0]
-        smin = np.linalg.svd(A0, compute_uv=False)[-1] if n > 0 else 0.0
-        if smin > 1e-9:
-            A0inv = np.linalg.inv(A0)
-            Ks = []
-            for j in range(m):
-                S = B[j].copy()
-                for l in range(1, j + 1):
-                    S -= Ks[j - l] @ A[l]
-                Ks.append(S @ A0inv)
-        else:
-            Ks, residual = _solve_node_lsq(A, B, n, rcond)
-            if residual > 1e-7:
-                raise InterpolationInconsistent(alpha, residual)
+        Ks, lsq = solve_node(alpha, A, B, n, rcond)
+        if lsq:
             lsq_nodes.append(i)
         Kdata.append(Ks)
     poly = _assemble_interpolant(nodes, Kdata, n)
     return InterpolantK(poly, nodes, Kdata, lsq_nodes)
+
+
+def solve_node(alpha, A, B, n, rcond=1e-12):
+    """(K_0, ..., K_{m-1}, least squares used) with sum_l K_l A_{j-l} = B_j at the node alpha:
+    forward substitution when s_min(A_0) > 1e-9, else `_solve_node_lsq`, inconsistent above 1e-7."""
+    smin = np.linalg.svd(A[0], compute_uv=False)[-1] if n > 0 else 0.0
+    if smin > 1e-9:
+        A0inv = np.linalg.inv(A[0])
+        Ks = []
+        for j in range(len(A)):
+            S = B[j].copy()
+            for l in range(1, j + 1):
+                S -= Ks[j - l] @ A[l]
+            Ks.append(S @ A0inv)
+        return Ks, False
+    Ks, residual = _solve_node_lsq(A, B, n, rcond)
+    if residual > 1e-7:
+        raise InterpolationInconsistent(alpha, residual)
+    return Ks, True
 
 
 def _solve_node_lsq(A, B, n, rcond):

@@ -324,15 +324,16 @@ def _normal_polynomial_cases():
 
 
 def test_unitary_conjugated_diagonal_sweep():
-    # T of U diag(p1, p2) U* is unitarily equivalent to T_p1 + T_p2, so the scalar
-    # verdicts are ground truth; these symbols reach the singular-node least squares
+    # T of U diag(p1, p2) U* (of p I + q X) is unitarily equivalent to the direct sum of
+    # the scalar parts' operators, so their verdicts are ground truth, on both routes;
+    # the U diag U* symbols reach the singular-node least squares
     tags = []
-    for case, ((p1, p2), phi) in enumerate(_unitary_diagonal_cases()):
-        v = decide_hyponormal(phi)
-        truth = all(decide_hyponormal(p).tag == "Hyponormal" for p in (p1, p2))
+    for case, (parts, phi) in enumerate([*_unitary_diagonal_cases(), *_normal_polynomial_cases()]):
+        v = _both_routes(phi)
+        truth = all(decide_hyponormal(p).tag == "Hyponormal" for p in parts)
         assert v.tag == ("Hyponormal" if truth else "NotHyponormal"), (case, v.notes)
         tags.append(v.tag)
-    assert tags.count("Hyponormal") == 53
+    assert tags[:150].count("Hyponormal") == 53
 
 
 @settings(max_examples=25, derandomize=True, deadline=None)
@@ -451,12 +452,8 @@ def test_symbol_coprimality_matches_the_blaschke_route():
             assert (ok, marginal) == dc._coanalytic_coprime(RationalSymbol.from_symbol(phi))[1:]
             refused += not ok
     assert refused > 0  # singular A_{-m}, as in U diag(p1, p2) U* with deg p1 != deg p2 on the co-analytic side
-    assert classify_normal_or_analytic(Symbol(2, {-1: E11, 1: np.eye(2)})).tag == "HypothesisNotMet"
 
 
-def test_routes_agree_on_pool_and_matrix_sweeps():
+def test_routes_agree_on_the_scalar_pool():
     for i in range(1000):
         _both_routes(_pool_symbol(i))
-    for parts, phi in list(_unitary_diagonal_cases()) + list(_normal_polynomial_cases()):
-        truth = all(decide_hyponormal(p).tag == "Hyponormal" for p in parts)
-        assert _both_routes(phi).tag == ("Hyponormal" if truth else "NotHyponormal")
