@@ -51,9 +51,6 @@ class BlaschkeProduct:
     def degree(self):
         return sum(m for _, m in self.zeros)
 
-    def is_constant(self):
-        return not self.zeros
-
     def zero_list(self):
         """Zeros repeated by multiplicity, grouped in listed order."""
         out = []
@@ -76,10 +73,9 @@ class BlaschkeProduct:
         return out if out.shape else complex(out)
 
     def as_rational(self) -> RationalFn:
-        """The quotient p/q; each zero at the origin shifts p by one place and leaves q alone."""
-        at0 = sum(m for a, m in self.zeros if a == 0)
-        roots = [a for a in self.zero_list() if a != 0]
-        num = np.concatenate([np.zeros(at0, dtype=complex), poly_from_roots(roots, lead=self.unimodular)])
+        """The quotient u prod (z - a) / prod (1 - conj(a) z) over the zeros with multiplicity."""
+        roots = self.zero_list()
+        num = poly_from_roots(roots, lead=self.unimodular)
         den = np.array([1.0 + 0j])
         for a in roots:
             den = mul_ascending(den, np.array([1.0, -np.conj(a)]))
@@ -102,18 +98,6 @@ class BlaschkeProduct:
             if m2 > 0:
                 zs.append((a, m2))
         return BlaschkeProduct(self.unimodular / other.unimodular, zs)
-
-    def to_json_dict(self):
-        return {
-            "unimodular": [self.unimodular.real, self.unimodular.imag],
-            "zeros": [{"alpha": [a.real, a.imag], "mult": m} for a, m in self.zeros],
-        }
-
-    @classmethod
-    def from_json_dict(cls, d):
-        u = complex(d["unimodular"][0], d["unimodular"][1])
-        zs = [(complex(z["alpha"][0], z["alpha"][1]), int(z["mult"])) for z in d["zeros"]]
-        return cls(u, zs)
 
     @classmethod
     def one(cls):
@@ -166,23 +150,19 @@ def divides(t2: BlaschkeProduct, t1: BlaschkeProduct):
     return True
 
 
-def coanalytic_decompose(f) -> tuple[BlaschkeProduct, RationalFn]:
+def coanalytic_decompose(f: RationalFn) -> tuple[BlaschkeProduct, RationalFn]:
     """Factor a rational co-analytic part f = theta * conj(b) on the circle.
 
     `f` is the analytic representative of the co-analytic part (an element
-    of zH^2 when nonzero): a RationalFn with poles outside the closed disk,
-    or a scalar Symbol with support in [1, m].  Returns (theta, b) with
-    theta a finite Blaschke product, b disk-analytic, and b nonvanishing at
-    every zero of theta (coprime by construction).
+    of zH^2 when nonzero), with poles outside the closed disk.  Returns
+    (theta, b) with theta a finite Blaschke product, b disk-analytic, and b
+    nonvanishing at every zero of theta (coprime by construction).
 
     theta collects the reflected poles 1/conj(beta) of f plus a zero at the
     origin of order max(deg num - deg den, 0); b = reflect(f) * theta with
-    the interior poles cancelled exactly.  When the reflection's
-    denominator is c z^d (f a polynomial of degree d), theta is z^d and
-    no root is computed; other denominators are root-found and their
-    roots clustered.
+    the interior poles cancelled exactly.  The reflection's denominator is
+    root-found and its roots clustered.
     """
-    f = _as_rational_part(f)
     if f.is_zero():
         return BlaschkeProduct.one(), RationalFn([0.0])
     r = f.min_pole_radius()
@@ -197,10 +177,7 @@ def coanalytic_decompose(f) -> tuple[BlaschkeProduct, RationalFn]:
             raise ValueError("reflection without interior poles on a nonconstant input")
         return BlaschkeProduct.one(), RationalFn([np.conj(f.num[0] / f.den[0])])
     lead = refl.den[-1]
-    if np.any(refl.den[:-1]):
-        clusters = _cluster_roots(np.roots(refl.den[::-1]))
-    else:  # lead z^d, the reflection of a polynomial: d exact roots at 0
-        clusters = [(0j, len(refl.den) - 1)]
+    clusters = _cluster_roots(np.roots(refl.den[::-1]))
     for g, _ in clusters:
         if abs(g) >= 1.0:
             raise ValueError("reflection produced a pole outside the disk")
@@ -229,17 +206,6 @@ def _cluster_roots(roots, tol=5e-8):
         else:
             out.append((complex(r), 1))
     return out
-
-
-def _as_rational_part(f):
-    if isinstance(f, RationalFn):
-        return f
-    # scalar Symbol with nonnegative support
-    if f.n != 1:
-        raise ValueError("coanalytic_decompose takes scalar data")
-    if f.lo < 0:
-        raise ValueError("analytic representative must have support >= 0")
-    return RationalFn(f.coeffs(0, f.hi)[:, 0, 0])
 
 
 def coprime_matrix_check(B, theta: BlaschkeProduct, cutoff=COPRIME_CUTOFF):

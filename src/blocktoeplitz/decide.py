@@ -158,8 +158,9 @@ def kernel_inclusion_holds(phi_sym: Symbol, tol=KERNEL_RANK_TOL):
     Hm = op.hankel_window(minus.star(), W).block
     HpA = Hp.conj().T
     HmA = Hm.conj().T
-    scale = max(np.linalg.norm(HpA, 2), np.linalg.norm(HmA, 2), 1.0)
-    r1 = np.linalg.matrix_rank(HpA, tol=tol * scale)
+    s = np.linalg.svd(HpA, compute_uv=False)  # gives both ||HpA||_2 and the rank of HpA
+    scale = max(s.max(initial=0), np.linalg.norm(HmA, 2), 1.0)
+    r1 = np.count_nonzero(s > tol * scale)
     r2 = np.linalg.matrix_rank(np.hstack([HpA, HmA]), tol=tol * scale)
     return r2 == r1
 

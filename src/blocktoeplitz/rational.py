@@ -13,9 +13,6 @@ Arithmetic is `np.convolve` on the stored ascending coefficient arrays
 (the convolution of reversed sequences is the reversed convolution, so
 no reversal and no `poly1d` round trip is needed); degrees in this
 problem domain stay in the single digits.
-
-A denominator c z^d (the reflection of every polynomial) is not
-root-found when the numerator is provably root-free near 0.
 """
 
 from __future__ import annotations
@@ -54,8 +51,6 @@ class RationalFn:
     Common numerator/denominator roots are cancelled by root clustering
     with absolute tolerance `reduce_tol`; the denominator is normalized
     to constant term 1 when possible (leading coefficient 1 otherwise).
-    A denominator c z^d is not root-found when the numerator has no root
-    within 2 reduce_tol of 0 (see `_root_free_at_origin`).
     """
 
     def __init__(self, num, den=(1.0,), reduce_tol=1e-9):
@@ -64,7 +59,7 @@ class RationalFn:
         # trimmed, a polynomial is [0] or ends in a coefficient above DROP_TOL
         if abs(q[-1]) <= DROP_TOL:
             raise ZeroDivisionError("rational function with zero denominator")
-        if len(q) > 1 and len(p) > 1 and not _root_free_at_origin(p, q, reduce_tol):
+        if len(q) > 1 and len(p) > 1:
             p, q = _cancel_common_roots(p, q, reduce_tol)
         # normalize: prefer q(0) = 1 so analytic quotients read off nicely
         if abs(q[0]) > DROP_TOL:
@@ -216,10 +211,8 @@ def _as_rational(x):
 
 
 def _taylor_shift(c, z0):
-    """Coefficients of p(z0 + w) as a polynomial in w (ascending); p itself at z0 = 0."""
+    """Coefficients of p(z0 + w) as a polynomial in w (ascending)."""
     c = np.asarray(c, dtype=complex)
-    if z0 == 0:
-        return c
     n = len(c)
     out = np.zeros(n, dtype=complex)
     for ck in c[::-1]:
@@ -228,19 +221,6 @@ def _taylor_shift(c, z0):
         out = shifted + z0 * out
         out[0] += ck
     return out
-
-
-def _root_free_at_origin(p, q, tol):
-    """Whether q = c z^d and p has no root within 2 tol of 0, so nothing cancels.
-
-    The roots of c z^d are d exact zeros.  By Rouche, p has no root in
-    |z| <= 2 tol when |p_0| > sum_{k>=1} |p_k| (2 tol)^k; its computed
-    roots then stay tol away from 0 unless they err by more than tol, and
-    `_cancel_common_roots` would return p and q unchanged.
-    """
-    if np.any(q[:-1]):
-        return False
-    return abs(p[0]) > np.sum(np.abs(p[1:]) * (2 * tol) ** np.arange(1, len(p)))
 
 
 def _cancel_common_roots(p, q, tol):

@@ -17,7 +17,6 @@ are methods and operators of `Symbol` (`coeff`, `split`, `tilde`, `*`).
 from __future__ import annotations
 
 import itertools
-import json
 
 import numpy as np
 
@@ -148,9 +147,9 @@ class Symbol:
         a, b = self.c, other.c
         if not len(a) or not len(b):
             return Symbol(self.n)
-        # entry (i, k) of the Cauchy product is sum_j conv(a_ij, b_jk); for the
-        # n <= 2 symbols in use, n^3 direct 1-D convolutions beat one batched
-        # n x n matmul per shift of the shorter factor
+        # entry (i, k) of the Cauchy product is sum_j conv(a_ij, b_jk); n^3 direct
+        # 1-D convolutions beat one batched n x n matmul per shift of the shorter
+        # factor for n <= 3, the sizes in use; the shift loop wins only from n = 4
         c = np.zeros((len(a) + len(b) - 1, self.n, self.n), dtype=complex)
         for i, j, k in itertools.product(range(self.n), repeat=3):
             c[:, i, k] += np.convolve(a[:, i, j], b[:, j, k])
@@ -211,9 +210,6 @@ class Symbol:
             ],
         }
 
-    def to_json(self):
-        return json.dumps(self.to_json_dict())
-
     @classmethod
     def from_json_dict(cls, d):
         n = int(d["n"])
@@ -225,10 +221,6 @@ class Symbol:
             )
             coeffs[int(item["deg"])] = A
         return cls(n, coeffs)
-
-    @classmethod
-    def from_json(cls, s):
-        return cls.from_json_dict(json.loads(s))
 
     def __repr__(self):
         return f"Symbol(n={self.n}, support={self.support()})"

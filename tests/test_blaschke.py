@@ -110,12 +110,6 @@ def test_decompose_trivial():
     np.testing.assert_allclose(b.poly_coeffs(), [1.0], atol=1e-14)
 
 
-def test_decompose_accepts_symbol_input():
-    theta, b = coanalytic_decompose(Symbol.scalar({1: 2, 2: 1}))
-    assert theta.degree() == 2
-    assert abs(b(0) - 1.0) < 1e-12
-
-
 def test_decompose_pole_reflection():
     # pole at beta = 2.5 outside: inner part gains a zero at 1/conj(beta)
     beta = 2.5
@@ -179,22 +173,14 @@ def test_coprime_false_for_singular_det():
     assert not ok
 
 
-def test_json_roundtrip():
-    theta = BlaschkeProduct(np.exp(0.3j), [(0.1 + 0.2j, 2), (-0.5j, 1)])
-    back = BlaschkeProduct.from_json_dict(theta.to_json_dict())
-    assert back.degree() == theta.degree()
-    z = 0.3 + 0.4j
-    assert abs(back(z) - theta(z)) < 1e-14
-
-
 def test_decompose_constant_input():
     theta, b = coanalytic_decompose(RationalFn([2.0 - 1.0j]))
-    assert theta.is_constant()
+    assert theta.degree() == 0
     np.testing.assert_allclose(b.poly_coeffs(), [2.0 + 1.0j], atol=1e-14)
 
 
 def _decompose_by_roots(f):
-    # the root-finding formula `coanalytic_decompose` keeps for non-monomial denominators
+    # the root-finding formula of `coanalytic_decompose`, written out as the reference
     from blocktoeplitz.blaschke import _cluster_roots
     from blocktoeplitz.rational import mul_ascending
 
@@ -212,11 +198,10 @@ def test_polynomial_decomposition_matches_root_finding():
     for _ in range(40):
         d = int(rng.integers(1, 6))
         c = np.r_[0.0, rng.normal(size=d) + 1j * rng.normal(size=d)]
-        for f in (RationalFn(c), Symbol.scalar(dict(enumerate(c)))):
-            theta, b = coanalytic_decompose(f)
-            theta_ref, b_ref = _decompose_by_roots(RationalFn(c))
-            assert theta.zeros == theta_ref.zeros == [(0j, d)]
-            assert np.array_equal(b.num, b_ref.num) and np.array_equal(b.den, b_ref.den)
+        theta, b = coanalytic_decompose(RationalFn(c))
+        theta_ref, b_ref = _decompose_by_roots(RationalFn(c))
+        assert theta.zeros == theta_ref.zeros == [(0j, d)]
+        assert np.array_equal(b.num, b_ref.num) and np.array_equal(b.den, b_ref.den)
 
 
 def test_as_rational_shift_matches_root_product():

@@ -457,3 +457,33 @@ def test_symbol_coprimality_matches_the_blaschke_route():
 def test_routes_agree_on_the_scalar_pool():
     for i in range(1000):
         _both_routes(_pool_symbol(i))
+
+
+def test_kernel_inclusion_takes_three_svds(monkeypatch):
+    def four_svds(phi, tol=dc.KERNEL_RANK_TOL):
+        # the formula with the norm and the rank of HpA computed apart, as the reference
+        plus, minus = phi.split()
+        W = max(*phi.degree_bounds(), 1) + 1
+        HpA = op.hankel_window(plus.star(), W).block.conj().T
+        HmA = op.hankel_window(minus.star(), W).block.conj().T
+        scale = max(np.linalg.norm(HpA, 2), np.linalg.norm(HmA, 2), 1.0)
+        r1 = np.linalg.matrix_rank(HpA, tol=tol * scale)
+        return np.linalg.matrix_rank(np.hstack([HpA, HmA]), tol=tol * scale) == r1
+
+    symbols = [phi for _, phi in _unitary_diagonal_cases()] + [phi for _, phi in _normal_polynomial_cases()]
+    want = [four_svds(phi) for phi in symbols]
+    assert set(want) == {True, False}
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    # norm and matrix_rank look svd up in numpy's own module
+    monkeypatch.setattr("numpy.linalg._linalg.svd", counting_svd)
+    monkeypatch.setattr(dc.np.linalg, "svd", counting_svd)
+    for phi, w in zip(symbols, want):
+        calls.clear()
+        assert dc.kernel_inclusion_holds(phi) == w
+        assert len(calls) == 3

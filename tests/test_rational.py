@@ -147,8 +147,8 @@ def test_common_root_cancels_to_degree_one_over_one():
 
 
 @pytest.mark.parametrize("root", [0.0, 3e-10, 5e-9, 1e-3])
-def test_monomial_denominator_shortcut_matches_root_cancellation(root):
-    from blocktoeplitz.rational import _cancel_common_roots, _root_free_at_origin, _trim
+def test_monomial_denominator_reduces_by_root_cancellation(root):
+    from blocktoeplitz.rational import _cancel_common_roots, _trim
 
     rng = np.random.default_rng(int(root * 1e12) % 1000)
     for d in (1, 2, 4):
@@ -156,8 +156,6 @@ def test_monomial_denominator_shortcut_matches_root_cancellation(root):
         p = _trim(mul_ascending([-root, 1.0], rest))
         q = np.zeros(d + 1, dtype=complex)
         q[-1] = 2.0 - 1.0j
-        # the shortcut is taken exactly when no root of p lies within 2 * reduce_tol of 0
-        assert _root_free_at_origin(p, q, 1e-9) == (root > 2e-9)
         cp, cq = _cancel_common_roots(p, q, 1e-9)
         f = RationalFn(p, q)
         scale = cq[0] if abs(cq[0]) > 1e-12 else cq[-1]
@@ -170,7 +168,7 @@ def test_taylor_shift_to_origin_is_the_identity():
     from blocktoeplitz.rational import _taylor_shift
 
     def horner_shift(c, z0):
-        # the general loop, which the shift to z0 = 0 skips
+        # the Horner loop written out, as the reference
         out = np.zeros(len(c), dtype=complex)
         for ck in c[::-1]:
             out = np.concatenate([[0.0], out[:-1]]) + z0 * out
@@ -181,6 +179,7 @@ def test_taylor_shift_to_origin_is_the_identity():
     for n in range(1, 7):
         c = rng.normal(size=n) + 1j * rng.normal(size=n)
         assert np.array_equal(_taylor_shift(c, 0j), horner_shift(c, 0j))
+        assert np.array_equal(_taylor_shift(c, 0j), c)
         assert np.array_equal(_taylor_shift(c, 0.3 - 0.2j), horner_shift(c, 0.3 - 0.2j))
         f = RationalFn(c, [1.0, 0.5])
         np.testing.assert_allclose(f.taylor_jets(0j, 4), cauchy_jets(f, 0j, 4), atol=1e-10)
