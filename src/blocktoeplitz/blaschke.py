@@ -195,12 +195,12 @@ def coanalytic_decompose(f: RationalFn) -> tuple[BlaschkeProduct, RationalFn]:
     return theta, b
 
 
-def _cluster_roots(roots, tol=5e-8):
-    """Merge numerically split repeated roots into (center, multiplicity)."""
+def _cluster_roots(roots):
+    """Merge numerically split repeated roots, closer than 5e-8, into (center, multiplicity)."""
     out = []
     for r in roots:
         for k, (c, m) in enumerate(out):
-            if abs(r - c) < tol:
+            if abs(r - c) < 5e-8:
                 out[k] = ((c * m + r) / (m + 1), m + 1)
                 break
         else:
@@ -208,13 +208,13 @@ def _cluster_roots(roots, tol=5e-8):
     return out
 
 
-def coprime_matrix_check(B, theta: BlaschkeProduct, cutoff=COPRIME_CUTOFF):
+def coprime_matrix_check(B, theta: BlaschkeProduct):
     """Whether B(alpha) is invertible at every zero alpha of theta.
 
-    B is an analytic matrix function given as a Symbol (support >= 0), a
-    grid of RationalFn entries, or a callable returning an n x n matrix.
-    Returns (ok, marginal): ok is the verdict at `cutoff`; marginal flags
-    minimum singular values within a decade of the cutoff.
+    B is an analytic matrix function given as a grid of RationalFn
+    entries or as a callable returning an n x n matrix.  Returns (ok,
+    marginal): ok is false when some B(alpha) has minimum singular value
+    at most COPRIME_CUTOFF; marginal flags one within a decade above it.
     """
     evalB = _matrix_evaluator(B)
     ok = True
@@ -222,21 +222,16 @@ def coprime_matrix_check(B, theta: BlaschkeProduct, cutoff=COPRIME_CUTOFF):
     for a, _ in theta.zeros:
         s = np.linalg.svd(evalB(a), compute_uv=False)
         smin = float(s[-1]) if len(s) else 0.0
-        if smin <= cutoff:
+        if smin <= COPRIME_CUTOFF:
             ok = False
-        elif smin <= 10 * cutoff:
+        elif smin <= 10 * COPRIME_CUTOFF:
             marginal = True
     return ok, marginal
 
 
 def _matrix_evaluator(B):
-    if callable(B) and not hasattr(B, "eval_circle") and not isinstance(B, list):
+    if callable(B):
         return B
-    if hasattr(B, "eval_circle"):  # Symbol
-        if B.lo < 0:
-            raise ValueError("coprime check needs an analytic matrix function")
-        C = B.coeffs(0, B.hi)
-        return lambda a: np.tensordot(a ** np.arange(len(C)), C, axes=1)
     if isinstance(B, list):  # grid of RationalFn
         n = len(B)
 

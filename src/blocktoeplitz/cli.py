@@ -157,7 +157,11 @@ def load_symbol(args) -> Symbol:
         return parse_scalar_symbol(args.phi)
     if getattr(args, "symbol", None):
         with open(args.symbol, "r", encoding="utf-8") as f:
-            return Symbol.from_json_dict(json.load(f))
+            data = json.load(f)
+        try:
+            return Symbol.from_json_dict(data)
+        except (KeyError, TypeError, IndexError) as e:
+            raise ExprError(f"malformed symbol file {args.symbol}: {type(e).__name__}: {e}") from e
     raise ExprError("no symbol given (file argument or --phi)")
 
 
@@ -255,7 +259,11 @@ def _suite(args):
 
 
 def _export_model(args):
-    model = ms.build_M([complex(x) for x in json.loads(args.zeros)])
+    try:
+        zeros = [complex(x) for x in json.loads(args.zeros)]
+    except TypeError as e:
+        raise ExprError(f"--zeros must be a JSON list of numbers: {e}") from e
+    model = ms.build_M(zeros)
     _emit({"zeros": _pairs(model.zeros), "matrix": _pairs(model.matrix)}, args)
     return EXIT_DECIDED
 

@@ -66,16 +66,12 @@ class Verdict:
     notes: list = field(default_factory=list)
 
 
-class NotRationalError(TypeError):
-    pass
-
-
 def _as_rational_symbol(phi):
     if isinstance(phi, RationalSymbol):
         return phi
     if isinstance(phi, Symbol):
         return RationalSymbol.from_symbol(phi)
-    raise NotRationalError(f"expected a (rational) matrix symbol, got {type(phi)}")
+    raise TypeError(f"expected a (rational) matrix symbol, got {type(phi)}")
 
 
 def factorize(phi) -> HypoFactorization:
@@ -148,7 +144,7 @@ def _coanalytic_coprime(R):
     return (theta_minus, *bl.coprime_matrix_check(B, theta_minus))
 
 
-def kernel_inclusion_holds(phi_sym: Symbol, tol=KERNEL_RANK_TOL):
+def kernel_inclusion_holds(phi_sym: Symbol):
     """Numeric test that the analytic-side Hankel kernel sits inside the
     co-analytic one, via column-space comparison of the adjoint windows."""
     plus, minus = phi_sym.split()
@@ -160,22 +156,22 @@ def kernel_inclusion_holds(phi_sym: Symbol, tol=KERNEL_RANK_TOL):
     HmA = Hm.conj().T
     s = np.linalg.svd(HpA, compute_uv=False)  # gives both ||HpA||_2 and the rank of HpA
     scale = max(s.max(initial=0), np.linalg.norm(HmA, 2), 1.0)
-    r1 = np.count_nonzero(s > tol * scale)
-    r2 = np.linalg.matrix_rank(np.hstack([HpA, HmA]), tol=tol * scale)
+    r1 = np.count_nonzero(s > KERNEL_RANK_TOL * scale)
+    r2 = np.linalg.matrix_rank(np.hstack([HpA, HmA]), tol=KERNEL_RANK_TOL * scale)
     return r2 == r1
 
 
-def verify_in_C(phi, K, tol=MEMBERSHIP_TOL):
+def verify_in_C(phi, K):
     """Membership of K in the candidate set: Phi - K Phi* is analytic.
 
     Checked on exact Fourier coefficients: every negative-degree
-    coefficient of Phi - K Phi* has entrywise modulus <= tol.
+    coefficient of Phi - K Phi* has entrywise modulus <= MEMBERSHIP_TOL.
     """
     S = phi if isinstance(phi, Symbol) else phi.to_symbol()
     Ksym = K if isinstance(K, Symbol) else K.to_symbol()
     diff = S - Ksym * S.star()
     neg = diff.coeffs(diff.lo, -1)
-    return not neg.size or float(np.max(np.abs(neg))) <= tol
+    return not neg.size or float(np.max(np.abs(neg))) <= MEMBERSHIP_TOL
 
 
 def _interpolation_data(fact: HypoFactorization):
@@ -269,7 +265,7 @@ def _route(phi):
     return _ShiftRoute(phi) if isinstance(phi, Symbol) else _BlaschkeRoute(_as_rational_symbol(phi))
 
 
-def decide_hyponormal(phi, window_fallback=True, contract_tol=CONTRACT_TOL) -> Verdict:
+def decide_hyponormal(phi, contract_tol=CONTRACT_TOL) -> Verdict:
     """Full decision pipeline for a matrix symbol.
 
     A trigonometric polynomial (`Symbol`) is decided on its coefficient
@@ -278,16 +274,19 @@ def decide_hyponormal(phi, window_fallback=True, contract_tol=CONTRACT_TOL) -> V
     normality, inner divisibility (plus the numeric kernel-inclusion test
     for matrix symbols), solvability of the node systems, candidate
     membership, contractivity of the interpolant at the shift model.  A
-    contractive interpolant certifies Hyponormal with the defect matrix
-    and its numerical rank; a strict expansion is NotHyponormal whenever
-    the compressed outer factor is invertible (always, for scalar
-    symbols), and Inconclusive otherwise, with the finite-window
-    commutator consulted for a witness.
+    sigma_max within 1 + contract_tol certifies Hyponormal with the
+    defect matrix and its rank above RANK_TOL.  A sigma_max within 1 +
+    max(MARGINAL_TOL, 10 contract_tol) is re-decided by the exact
+    self-commutator window: NotHyponormal with its witness when it is
+    not PSD, Hyponormal when it is certified PSD, Marginal otherwise.  A
+    larger sigma_max is NotHyponormal whenever the compressed outer
+    factor is invertible (always, for scalar symbols); otherwise the
+    same window gives NotHyponormal with its witness, or Inconclusive.
     """
-    return _decide_hyponormal(_route(phi), window_fallback, contract_tol)
+    return _decide_hyponormal(_route(phi), contract_tol)
 
 
-def _decide_hyponormal(route, window_fallback=True, contract_tol=CONTRACT_TOL) -> Verdict:
+def _decide_hyponormal(route, contract_tol=CONTRACT_TOL) -> Verdict:
     """`decide_hyponormal` along a `_ShiftRoute` or a `_BlaschkeRoute`."""
     S = route.S
     if not is_normal_symbol(S):
@@ -321,13 +320,12 @@ def _decide_hyponormal(route, window_fallback=True, contract_tol=CONTRACT_TOL) -
         return Verdict("Hyponormal", sigma_max=sigma, defect=defect, rank_defect=rank, notes=notes)
     if sigma <= 1.0 + max(MARGINAL_TOL, contract_tol * 10):
         notes.append(f"contractivity marginal: sigma_max = {sigma:.12g}")
-        if window_fallback:
-            rep = _window_oracle(S)
-            if rep.verdict == "NotPSD":
-                return Verdict("NotHyponormal", sigma_max=sigma, witness=rep.witness,
-                               notes=notes + ["window oracle found a negative direction"])
-            if rep.verdict == "PSD" and rep.exact:
-                return Verdict("Hyponormal", sigma_max=sigma, notes=notes + ["window oracle exact PSD"])
+        rep = _window_oracle(S)
+        if rep.verdict == "NotPSD":
+            return Verdict("NotHyponormal", sigma_max=sigma, witness=rep.witness,
+                           notes=notes + ["window oracle found a negative direction"])
+        if rep.verdict == "PSD" and rep.exact:
+            return Verdict("Hyponormal", sigma_max=sigma, notes=notes + ["window oracle exact PSD"])
         return Verdict("Marginal", sigma_max=sigma, notes=notes)
     # strict expansion: decide via the converse direction when available
     if S.n == 1:
@@ -337,12 +335,11 @@ def _decide_hyponormal(route, window_fallback=True, contract_tol=CONTRACT_TOL) -
         return Verdict("NotHyponormal", sigma_max=sigma,
                        notes=notes + ["interpolant is expansive; compressed outer factor invertible"])
     notes.append("outer factor singular at a model zero; converse unavailable")
-    if window_fallback:
-        rep = _window_oracle(S)
-        if rep.verdict == "NotPSD":
-            return Verdict("NotHyponormal", sigma_max=sigma, witness=rep.witness,
-                           notes=notes + ["window oracle found a negative direction"])
-        notes.append(f"window oracle: {rep.verdict}")
+    rep = _window_oracle(S)
+    if rep.verdict == "NotPSD":
+        return Verdict("NotHyponormal", sigma_max=sigma, witness=rep.witness,
+                       notes=notes + ["window oracle found a negative direction"])
+    notes.append(f"window oracle: {rep.verdict}")
     return Verdict("Inconclusive", sigma_max=sigma, notes=notes)
 
 
@@ -357,15 +354,16 @@ def commutator_max_entry(S: Symbol):
     return worst, worst <= NORMAL_TOL
 
 
-def classify_normal_or_analytic(phi, square_window=None) -> Verdict:
+def classify_normal_or_analytic(phi) -> Verdict:
     """Normal-or-analytic classification under the coprimality hypothesis.
 
     Refuses (HypothesisNotMet) when the co-analytic factorization is not
     coprime.  Otherwise returns Analytic for vanishing co-analytic part,
-    Normal for vanishing exact self-commutator, and Neither else; in the
-    Neither case a positive decision from both the hyponormality pipeline
-    and the squared-window test contradicts the classification guarantee
-    and is flagged THEOREM-VIOLATION for the harness to count.
+    Normal for vanishing exact self-commutator (no entry above
+    NORMAL_TOL), and Neither else.  In the Neither case a Hyponormal
+    verdict together with a PSD squared-window test, on the window
+    max(16, 4 bw + 4) for bandwidth bw, contradicts the classification
+    guarantee and is flagged THEOREM-VIOLATION for the harness to count.
     """
     route = _route(phi)
     if route.analytic:
@@ -382,8 +380,7 @@ def classify_normal_or_analytic(phi, square_window=None) -> Verdict:
         return Verdict("Normal", notes=notes)
     hypo = _decide_hyponormal(route)
     if hypo.tag == "Hyponormal":
-        W = square_window or max(16, 4 * S.bandwidth() + 4)
-        sq = op.square_hypo_window(S, W)
+        sq = op.square_hypo_window(S, max(16, 4 * S.bandwidth() + 4))
         if sq.verdict == "PSD":
             return Verdict("Neither", notes=notes + [
                 "THEOREM-VIOLATION: hyponormal with hyponormal square but neither normal nor analytic"
@@ -423,7 +420,7 @@ def double_conjugate_shift_symbol(phi: Symbol, psi: Symbol) -> Symbol:
     return _corner_symbol(phi, psi, -1, -1)
 
 
-def complete_ustar(phi: Symbol, psi: Symbol, window=24, tol=1e-9) -> Verdict:
+def complete_ustar(phi: Symbol, psi: Symbol, window=24) -> Verdict:
     """Membership of (phi, psi) in the two normal-completion families.
 
     Family 1: phi = u z + beta with |u| = 1 and psi a unimodular multiple
@@ -434,7 +431,7 @@ def complete_ustar(phi: Symbol, psi: Symbol, window=24, tol=1e-9) -> Verdict:
     """
     if phi.n != 1 or psi.n != 1:
         raise ValueError("completion entries must be scalar symbols")
-    member, family = _family_membership(phi, psi, tol)
+    member, family = _family_membership(phi, psi, 1e-9)
     big = double_conjugate_shift_symbol(phi, psi)
     if member:
         worst, vanishes = commutator_max_entry(big)

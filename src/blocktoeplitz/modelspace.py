@@ -33,7 +33,6 @@ class TriangularModel:
     """Lower-triangular model of the compressed shift on d nodes."""
 
     zeros: list  # alpha_1..alpha_d in grouped order, repeats allowed
-    q: np.ndarray  # q_j = sqrt(1 - |alpha_j|^2)
     matrix: np.ndarray  # d x d complex lower-triangular
 
     @property
@@ -63,7 +62,7 @@ def build_M(zeros) -> TriangularModel:
             for l in range(k + 1, j):
                 prod *= -np.conj(zeros[l])
             M[j, k] = q[k] * q[j] * prod
-    return TriangularModel(zeros, q, M)
+    return TriangularModel(zeros, M)
 
 
 def tm_basis(theta: BlaschkeProduct):
@@ -128,23 +127,23 @@ def eval_poly_at_contraction(P, M, tail_tol=1e-12, max_terms=2000):
     return out
 
 
-def compression_oracle(P, theta: BlaschkeProduct, tol=QUAD_TOL, grid=GRID_START):
+def compression_oracle(P, theta: BlaschkeProduct):
     """Quadrature matrix of the compressed multiplication operator.
 
     Entries <P phi_j e_s, phi_k e_r> on an equispaced circle grid of
-    `grid` points, doubled until the entrywise change is below tol or
-    the grid would pass GRID_CAP.  This is the independent arbiter for
-    build_M and poly_of_M.
+    GRID_START points, doubled until the entrywise change is below
+    QUAD_TOL; ArithmeticError when the grid would pass GRID_CAP first.
+    This is the independent arbiter for build_M and poly_of_M.
     """
-    prev = _compress_on_grid(P, theta, grid)
-    g = grid * 2
+    prev = _compress_on_grid(P, theta, GRID_START)
+    g = GRID_START * 2
     while g <= GRID_CAP:
         cur = _compress_on_grid(P, theta, g)
-        if np.max(np.abs(cur - prev)) < tol:
+        if np.max(np.abs(cur - prev)) < QUAD_TOL:
             return cur
         prev = cur
         g *= 2
-    raise ArithmeticError(f"quadrature did not converge below {tol} within grid cap {GRID_CAP}")
+    raise ArithmeticError(f"quadrature did not converge below {QUAD_TOL} within grid cap {GRID_CAP}")
 
 
 def _compress_on_grid(P, theta, g):
@@ -182,7 +181,7 @@ class InterpolationInconsistent(ValueError):
         super().__init__(f"no interpolant exists at node {node} (residual {residual:.3e})")
 
 
-def hermite_fejer_solve(nodes, A_data, B_data, n=None, rcond=1e-12) -> InterpolantK:
+def hermite_fejer_solve(nodes, A_data, B_data, n=None) -> InterpolantK:
     """Solve the block lower-triangular node systems and interpolate.
 
     nodes: [(alpha_i, m_i)] with distinct alpha_i.
@@ -206,7 +205,7 @@ def hermite_fejer_solve(nodes, A_data, B_data, n=None, rcond=1e-12) -> Interpola
     for i, (alpha, m) in enumerate(nodes):
         A = [np.asarray(A_data[i][j], dtype=complex) for j in range(m)]
         B = [np.asarray(B_data[i][j], dtype=complex) for j in range(m)]
-        Ks, lsq = solve_node(alpha, A, B, n, rcond)
+        Ks, lsq = solve_node(alpha, A, B, n)
         if lsq:
             lsq_nodes.append(i)
         Kdata.append(Ks)
@@ -214,7 +213,7 @@ def hermite_fejer_solve(nodes, A_data, B_data, n=None, rcond=1e-12) -> Interpola
     return InterpolantK(poly, nodes, Kdata, lsq_nodes)
 
 
-def solve_node(alpha, A, B, n, rcond=1e-12):
+def solve_node(alpha, A, B, n):
     """(K_0, ..., K_{m-1}, least squares used) with sum_l K_l A_{j-l} = B_j at the node alpha:
     forward substitution when s_min(A_0) > 1e-9, else `_solve_node_lsq`, inconsistent above 1e-7."""
     smin = np.linalg.svd(A[0], compute_uv=False)[-1] if n > 0 else 0.0
@@ -227,13 +226,13 @@ def solve_node(alpha, A, B, n, rcond=1e-12):
                 S -= Ks[j - l] @ A[l]
             Ks.append(S @ A0inv)
         return Ks, False
-    Ks, residual = _solve_node_lsq(A, B, n, rcond)
+    Ks, residual = _solve_node_lsq(A, B, n)
     if residual > 1e-7:
         raise InterpolationInconsistent(alpha, residual)
     return Ks, True
 
 
-def _solve_node_lsq(A, B, n, rcond):
+def _solve_node_lsq(A, B, n):
     """Least-squares solve of the stacked node system for the K_{i,j}."""
     m = len(A)
     # unknown x = [vec(K_0); ...; vec(K_{m-1})], vec row-major
@@ -249,7 +248,7 @@ def _solve_node_lsq(A, B, n, rcond):
         rows.append(np.hstack(blocks))
     G = np.vstack(rows)
     rhs = np.concatenate([B[j].reshape(-1) for j in range(m)])
-    x, *_ = np.linalg.lstsq(G, rhs, rcond=rcond)
+    x, *_ = np.linalg.lstsq(G, rhs, rcond=1e-12)
     residual = float(np.linalg.norm(G @ x - rhs))
     Ks = [x[l * n * n : (l + 1) * n * n].reshape(n, n) for l in range(m)]
     return Ks, residual

@@ -92,26 +92,25 @@ def _hankel_view(h, W):
     return h[i[:, None] + i].transpose(0, 2, 1, 3)
 
 
-def positivity_report(matrix, window, exact=False, notes=None,
-                      psd_tol=PSD_TOL, not_psd_tol=NOT_PSD_TOL) -> PositivityReport:
+def positivity_report(matrix, window, exact=False, psd_tol=PSD_TOL) -> PositivityReport:
     """Classify a Hermitian window by its minimum eigenvalue; see `_verdict`."""
     Hm = 0.5 * (matrix + matrix.conj().T)
     vals, vecs = scipy.linalg.eigh(Hm)
     lam = float(vals[0])
-    verdict = _verdict(lam, max(abs(lam), abs(float(vals[-1]))), psd_tol, not_psd_tol)
+    verdict = _verdict(lam, max(abs(lam), abs(float(vals[-1]))), psd_tol)
     witness = None if verdict == "PSD" else _canonical_witness(vecs[:, 0])
-    return PositivityReport(lam, witness, verdict, exact=exact, window=window, notes=notes or [])
+    return PositivityReport(lam, witness, verdict, exact=exact, window=window)
 
 
-def _verdict(lam, scale, psd_tol, not_psd_tol):
+def _verdict(lam, scale, psd_tol):
     """The PSD rule, for lambda_min and the 2-norm `scale` of a Hermitian window.
 
-    PSD if lambda_min >= -psd_tol * (1 + scale); NotPSD below -not_psd_tol;
+    PSD if lambda_min >= -psd_tol * (1 + scale); NotPSD below -NOT_PSD_TOL;
     Marginal in the dead zone between the two.
     """
     if lam >= -psd_tol * (1.0 + scale):
         return "PSD"
-    return "NotPSD" if lam < -not_psd_tol else "Marginal"
+    return "NotPSD" if lam < -NOT_PSD_TOL else "Marginal"
 
 
 def _canonical_witness(v):
@@ -240,8 +239,7 @@ def _support(phi: Symbol, k: int):
     return k * max(m, N), k * (m + N)
 
 
-def k_hypo_window(phi: Symbol, k: int, W: int, psd_tol=PSD_TOL,
-                  not_psd_tol=NOT_PSD_TOL) -> PositivityReport:
+def k_hypo_window(phi: Symbol, k: int, W: int, psd_tol=PSD_TOL) -> PositivityReport:
     """Positivity of the k x k block matrix of power commutators.
 
     Block (i, j) holds the W-window of [T^{*j}, T^i].  A NotPSD verdict
@@ -293,10 +291,10 @@ def k_hypo_window(phi: Symbol, k: int, W: int, psd_tol=PSD_TOL,
     if W < bw + 1:
         raise ValueError(f"window {W} too small for bandwidth {bw}")
     return _decide_window(lambda V: _power_commutators(phi, k, V), k, phi.n, W, *_support(phi, k),
-                          2 * k * bw + 1, psd_tol, not_psd_tol)
+                          2 * k * bw + 1, psd_tol)
 
 
-def _decide_window(assemble, k, n, W, L, D, pad, psd_tol, not_psd_tol):
+def _decide_window(assemble, k, n, W, L, D, pad, psd_tol):
     """Positivity of a k x k block window of order n*W, decided on its support corner W* = L + D.
 
     `assemble(V)` returns the exact V-window from products on a window
@@ -308,10 +306,10 @@ def _decide_window(assemble, k, n, W, L, D, pad, psd_tol, not_psd_tol):
     corner, exact = _doubling(big, k, n * V)
     if not exact and W > V:  # not normal: no window is exact
         _refuse_over_budget(n, k, W, W + pad)  # the cap the dense W-window was held to
-        rep = _band_report(big, k, n, W, L, D, psd_tol, not_psd_tol)
+        rep = _band_report(big, k, n, W, L, D, psd_tol)
     else:
         del big  # free the 2V window before the eigensolve on its corner
-        rep = positivity_report(corner, W, exact=exact, psd_tol=psd_tol, not_psd_tol=not_psd_tol)
+        rep = positivity_report(corner, W, exact=exact, psd_tol=psd_tol)
         if W > V:  # the W-window is the certified corner padded with zeros
             rep.min_eigenvalue = min(rep.min_eigenvalue, 0.0)
             if rep.witness is not None:
@@ -323,7 +321,7 @@ def _decide_window(assemble, k, n, W, L, D, pad, psd_tol, not_psd_tol):
     return rep
 
 
-def _band_report(big, k, n, W, L, D, psd_tol, not_psd_tol):
+def _band_report(big, k, n, W, L, D, psd_tol):
     """Positivity of the W-window gathered from the exact 2W*-window `big`, in band form.
 
     Every eigenvalue comes from `eigvals_banded`, so the PSD rule reads
@@ -336,7 +334,7 @@ def _band_report(big, k, n, W, L, D, psd_tol, not_psd_tol):
     vals = scipy.linalg.eigvals_banded(ab[u:], lower=True)
     lam = float(vals[0])
     scale = max(abs(lam), abs(float(vals[-1])))
-    verdict = _verdict(lam, scale, psd_tol, not_psd_tol)
+    verdict = _verdict(lam, scale, psd_tol)
     witness = None
     if verdict != "PSD":
         order = ab.shape[1]
@@ -383,8 +381,7 @@ def square_window(phi: Symbol, W: int):
     return S
 
 
-def square_hypo_window(phi: Symbol, W: int, psd_tol=PSD_TOL,
-                       not_psd_tol=NOT_PSD_TOL) -> PositivityReport:
+def square_hypo_window(phi: Symbol, W: int, psd_tol=PSD_TOL) -> PositivityReport:
     """Positivity of the self-commutator of T_Phi^2 on the window.
 
     T^2 is banded-plus-finite-rank, so the commutator window is exact
@@ -398,7 +395,7 @@ def square_hypo_window(phi: Symbol, W: int, psd_tol=PSD_TOL,
     if W < 2 * bw + 1:
         raise ValueError(f"window {W} too small for squared bandwidth {2 * bw}")
     return _decide_window(lambda V: _square_commutator(phi, V), 1, phi.n, W, *_support(phi, 2),
-                          4 * bw + 4, psd_tol, not_psd_tol)
+                          4 * bw + 4, psd_tol)
 
 
 def _square_commutator(phi: Symbol, W: int):

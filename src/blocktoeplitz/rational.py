@@ -49,18 +49,18 @@ class RationalFn:
     """Quotient of two complex polynomials, reduced on construction.
 
     Common numerator/denominator roots are cancelled by root clustering
-    with absolute tolerance `reduce_tol`; the denominator is normalized
+    with absolute tolerance 1e-9; the denominator is normalized
     to constant term 1 when possible (leading coefficient 1 otherwise).
     """
 
-    def __init__(self, num, den=(1.0,), reduce_tol=1e-9):
+    def __init__(self, num, den=(1.0,)):
         p = _trim(num)
         q = _trim(den)
         # trimmed, a polynomial is [0] or ends in a coefficient above DROP_TOL
         if abs(q[-1]) <= DROP_TOL:
             raise ZeroDivisionError("rational function with zero denominator")
         if len(q) > 1 and len(p) > 1:
-            p, q = _cancel_common_roots(p, q, reduce_tol)
+            p, q = _cancel_common_roots(p, q, 1e-9)
         # normalize: prefer q(0) = 1 so analytic quotients read off nicely
         if abs(q[0]) > DROP_TOL:
             scale = q[0]
@@ -168,13 +168,14 @@ class RationalFn:
             return np.inf
         return float(np.min(np.abs(self.poles())))
 
-    def fourier_coeffs(self, tail_tol=1e-14, max_terms=100000):
+    def fourier_coeffs(self, tail_tol=1e-14):
         """Taylor coefficients at 0, truncated with a certified geometric tail.
 
         Valid only for disk-analytic quotients (all poles of modulus > 1):
         the series is the sum of the geometric expansions of the partial
         fractions, so |c_j| <= A rho^j with rho = 1/min|pole|.  Terms are
-        emitted until the geometric tail estimate drops below tail_tol.
+        emitted until the geometric tail estimate drops below tail_tol, at
+        most 100000 of them.
         """
         r = self.min_pole_radius()
         if r <= 1.0 + 1e-12:
@@ -186,7 +187,7 @@ class RationalFn:
         coeffs = []
         j = 0
         recent = 0.0
-        while j < max_terms:
+        while j < 100000:
             s = p[j] if j < len(p) else 0.0
             for l in range(1, min(j, len(q) - 1) + 1):
                 s -= q[l] * coeffs[j - l]

@@ -226,12 +226,12 @@ class Symbol:
         return f"Symbol(n={self.n}, support={self.support()})"
 
 
-def is_normal_symbol(phi: Symbol, tol=1e-9):
-    """Whether Phi* Phi = Phi Phi* coefficientwise within tol."""
+def is_normal_symbol(phi: Symbol):
+    """Whether Phi* Phi = Phi Phi* coefficientwise within 1e-9."""
     if phi.n == 1:
         return True
     diff = phi.star() * phi - phi * phi.star()
-    return diff.is_zero(tol)
+    return diff.is_zero(1e-9)
 
 
 def sup_norm(phi: Symbol, grid=None):
@@ -277,10 +277,10 @@ class RationalSymbol:
         return cls(n, [[RationalFn(P[:, i, j]) for j in range(n)] for i in range(n)],
                    [[RationalFn(M[:, j, i]) for j in range(n)] for i in range(n)])
 
-    def to_symbol(self, tail_tol=TAIL_TOL):
+    def to_symbol(self):
         n = self.n
-        pairs = [(i, j, self.plus[i][j].fourier_coeffs(tail_tol),
-                  self.minus[i][j].fourier_coeffs(tail_tol)[1:]) for i in range(n) for j in range(n)]
+        pairs = [(i, j, self.plus[i][j].fourier_coeffs(TAIL_TOL),
+                  self.minus[i][j].fourier_coeffs(TAIL_TOL)[1:]) for i in range(n) for j in range(n)]
         m = max(len(cm) for *_, cm in pairs)  # co-analytic degree
         c = np.zeros((m + max(len(cp) for _, _, cp, _ in pairs), n, n), dtype=complex)
         for i, j, cp, cm in pairs:
@@ -288,8 +288,8 @@ class RationalSymbol:
             c[m - len(cm) : m, i, j] = _prune(cm[::-1].conj())
         return Symbol.from_coeffs(-m, c)
 
-    def is_analytic(self, tol=DROP_TOL):
-        return all(self.minus[i][j].is_zero(tol) for i in range(self.n) for j in range(self.n))
+    def is_analytic(self):
+        return all(self.minus[i][j].is_zero(DROP_TOL) for i in range(self.n) for j in range(self.n))
 
     def __repr__(self):
         return f"RationalSymbol(n={self.n})"

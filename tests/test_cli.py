@@ -115,6 +115,23 @@ def test_input_error_exit(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("argv, symbol_file", [
+    (["check-hyponormal"], '{"coeffs": []}'),
+    (["check-hyponormal"], '{"n": 1, "coeffs": [{"deg": 1, "matrix": 5}]}'),
+    (["export", "model", "--zeros", "1"], None),
+    (["export", "model", "--zeros", "[[1,2]]"], None),
+], ids=["file-without-n", "file-matrix-not-a-list", "zeros-not-a-list", "zeros-nested"])
+def test_malformed_input_is_an_input_error(argv, symbol_file, tmp_path, capsys):
+    if symbol_file is not None:
+        path = tmp_path / "symbol.json"
+        path.write_text(symbol_file)
+        argv = argv + [str(path)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_export_model(capsys):
     code = main(["export", "model", "--zeros", "[0, 0]"])
     out = json.loads(capsys.readouterr().out)

@@ -494,22 +494,29 @@ def test_constant_nonnormal_symbol_is_decided_in_band_form():
         assert_matches_full_window(rep, full, 7)
 
 
+def scaled_nonnormal(eps):
+    return Symbol(2, {-1: eps * E12, 1: 2 * eps * np.eye(2)})
+
+
 def test_band_path_reaches_every_verdict_as_the_dense_rule_does():
     W = 20
     seen = set()
-    for k in (2, None):
-        for tols in ({}, {"not_psd_tol": 1e3}, {"psd_tol": 1.0}):
-            rep, full = decide_and_assemble(NONNORMAL, k, W, **tols)
-            ref = positivity_report(full, W, **tols)
-            assert not rep.exact and rep.verdict == ref.verdict
-            assert abs(rep.min_eigenvalue - ref.min_eigenvalue) <= 1e-9 * max(1.0, abs(ref.min_eigenvalue))
-            assert (rep.witness is None) == (ref.witness is None)
-            if rep.witness is not None:
-                Hm = 0.5 * (full + full.conj().T)
-                assert np.linalg.norm(Hm @ rep.witness - rep.min_eigenvalue * rep.witness) <= 1e-8
-            else:
-                assert rep.notes == ["consistent up to window; support not certified"]
-            seen.add(rep.verdict)
+    # scaled down, lambda_min lands between -NOT_PSD_TOL and the PSD bound: about -9.0e-8 for
+    # the k = 2 window at eps = 3e-4 and -1.6e-7 for the square window at eps = 1e-2
+    cases = [(NONNORMAL, k, tols) for k in (2, None) for tols in ({}, {"psd_tol": 1.0})]
+    cases += [(scaled_nonnormal(3e-4), 2, {}), (scaled_nonnormal(1e-2), None, {})]
+    for phi, k, tols in cases:
+        rep, full = decide_and_assemble(phi, k, W, **tols)
+        ref = positivity_report(full, W, **tols)
+        assert not rep.exact and rep.verdict == ref.verdict
+        assert abs(rep.min_eigenvalue - ref.min_eigenvalue) <= 1e-9 * max(1.0, abs(ref.min_eigenvalue))
+        assert (rep.witness is None) == (ref.witness is None)
+        if rep.witness is not None:
+            Hm = 0.5 * (full + full.conj().T)
+            assert np.linalg.norm(Hm @ rep.witness - rep.min_eigenvalue * rep.witness) <= 1e-8
+        else:
+            assert rep.notes == ["consistent up to window; support not certified"]
+        seen.add(rep.verdict)
     assert seen == {"PSD", "Marginal", "NotPSD"}
 
 
