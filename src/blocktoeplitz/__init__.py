@@ -10,14 +10,13 @@ from .symbols import (
 from .rational import RationalFn
 from .blaschke import (
     BlaschkeProduct,
-    gcd_lcm,
+    lcm,
     divides,
     coanalytic_decompose,
     coprime_matrix_check,
 )
 from .modelspace import (
     TriangularModel,
-    InterpolantK,
     InterpolationInconsistent,
     tm_basis,
     build_M,

@@ -1,9 +1,10 @@
 """Finite Blaschke products and coprime decompositions of rational parts.
 
 Only scalar Blaschke products appear: the diagonal inner matrices used
-downstream are theta * I_n, so zero-multiset arithmetic (GCD/LCM,
-divisibility) is all that is needed.  Zero matching across products uses
-an absolute distance tolerance; degrees in scope stay small enough that
+downstream are theta * I_n, so zero-multiset arithmetic (LCM,
+divisibility, quotient) is all that is needed.  Zeros match by one rule,
+`multiplicity_at`: the first listed zero within MATCH_TOL, the rule
+`__post_init__` merges by; degrees in scope stay small enough that
 clustering is unambiguous.
 """
 
@@ -108,38 +109,11 @@ class BlaschkeProduct:
         return cls(1.0, [(0.0, k)]) if k > 0 else cls.one()
 
 
-def _pair_zeros(t1: BlaschkeProduct, t2: BlaschkeProduct):
-    """Greedy nearest pairing of the two zero sets within MATCH_TOL."""
-    pairs = []
-    used = set()
-    for a, m in t1.zeros:
-        best = None
-        for k, (b, mb) in enumerate(t2.zeros):
-            if k in used:
-                continue
-            d = abs(a - b)
-            if d < MATCH_TOL and (best is None or d < best[0]):
-                best = (d, k)
-        if best is not None:
-            used.add(best[1])
-            pairs.append((a, m, t2.zeros[best[1]][1]))
-        else:
-            pairs.append((a, m, 0))
-    for k, (b, mb) in enumerate(t2.zeros):
-        if k not in used:
-            pairs.append((b, 0, mb))
-    return pairs
-
-
-def gcd_lcm(t1: BlaschkeProduct, t2: BlaschkeProduct):
-    """Greatest common divisor and least common multiple by multiplicity min/max."""
-    g = []
-    l = []
-    for a, m1, m2 in _pair_zeros(t1, t2):
-        if min(m1, m2) > 0:
-            g.append((a, min(m1, m2)))
-        l.append((a, max(m1, m2)))
-    return BlaschkeProduct(1.0, g), BlaschkeProduct(1.0, l)
+def lcm(t1: BlaschkeProduct, t2: BlaschkeProduct):
+    """Least common multiple: t1's zeros, plus each zero a of t2 with the multiplicity
+    m - t1.multiplicity_at(a) wherever that is positive."""
+    extra = [(a, m - t1.multiplicity_at(a)) for a, m in t2.zeros if m > t1.multiplicity_at(a)]
+    return BlaschkeProduct(1.0, t1.zeros + extra)
 
 
 def divides(t2: BlaschkeProduct, t1: BlaschkeProduct):
@@ -208,35 +182,12 @@ def _cluster_roots(roots):
     return out
 
 
-def coprime_matrix_check(B, theta: BlaschkeProduct):
-    """Whether B(alpha) is invertible at every zero alpha of theta.
+def coprime_matrix_check(values):
+    """Whether each matrix B(alpha) in `values`, one per zero alpha of theta, is invertible.
 
-    B is an analytic matrix function given as a grid of RationalFn
-    entries or as a callable returning an n x n matrix.  Returns (ok,
-    marginal): ok is false when some B(alpha) has minimum singular value
-    at most COPRIME_CUTOFF; marginal flags one within a decade above it.
+    Returns (ok, marginal): ok is false when some B(alpha) has minimum
+    singular value at most COPRIME_CUTOFF; marginal flags one within a
+    decade above it.
     """
-    evalB = _matrix_evaluator(B)
-    ok = True
-    marginal = False
-    for a, _ in theta.zeros:
-        s = np.linalg.svd(evalB(a), compute_uv=False)
-        smin = float(s[-1]) if len(s) else 0.0
-        if smin <= COPRIME_CUTOFF:
-            ok = False
-        elif smin <= 10 * COPRIME_CUTOFF:
-            marginal = True
-    return ok, marginal
-
-
-def _matrix_evaluator(B):
-    if callable(B):
-        return B
-    if isinstance(B, list):  # grid of RationalFn
-        n = len(B)
-
-        def ev(a):
-            return np.array([[B[i][j](a) for j in range(n)] for i in range(n)], dtype=complex)
-
-        return ev
-    raise TypeError(f"cannot evaluate matrix function of type {type(B)}")
+    smin = [min(np.linalg.svd(v, compute_uv=False), default=0.0) for v in values]
+    return all(s > COPRIME_CUTOFF for s in smin), any(COPRIME_CUTOFF < s <= 10 * COPRIME_CUTOFF for s in smin)

@@ -160,7 +160,7 @@ def load_symbol(args) -> Symbol:
             data = json.load(f)
         try:
             return Symbol.from_json_dict(data)
-        except (KeyError, TypeError, IndexError) as e:
+        except (KeyError, TypeError, IndexError, ValueError) as e:
             raise ExprError(f"malformed symbol file {args.symbol}: {type(e).__name__}: {e}") from e
     raise ExprError("no symbol given (file argument or --phi)")
 
@@ -259,10 +259,13 @@ def _suite(args):
 
 
 def _export_model(args):
+    zeros = json.loads(args.zeros)
+    if not isinstance(zeros, list):
+        raise ExprError(f"--zeros must be a JSON list, not {type(zeros).__name__}")
     try:
-        zeros = [complex(x) for x in json.loads(args.zeros)]
-    except TypeError as e:
-        raise ExprError(f"--zeros must be a JSON list of numbers: {e}") from e
+        zeros = [complex(x) for x in zeros]
+    except (TypeError, ValueError) as e:
+        raise ExprError(f"--zeros entries must be numbers or complex strings: {e}") from e
     model = ms.build_M(zeros)
     _emit({"zeros": _pairs(model.zeros), "matrix": _pairs(model.matrix)}, args)
     return EXIT_DECIDED

@@ -29,7 +29,6 @@ RANK_TOL = 1e-8
 MEMBERSHIP_TOL = 1e-9
 KERNEL_RANK_TOL = 1e-9
 NORMAL_TOL = 1e-9  # the exact self-commutator vanishes when no entry exceeds this
-_ORIGIN = bl.BlaschkeProduct.monomial(1)  # z: its zero is the one node of a trigonometric polynomial
 
 
 @dataclass
@@ -46,7 +45,6 @@ class HypoFactorization:
     theta0: bl.BlaschkeProduct
     A: list
     B: list
-    n: int
 
     @property
     def theta_full(self):
@@ -83,14 +81,12 @@ def factorize(phi) -> HypoFactorization:
     is raised and the caller reports NotHyponormal.
     """
     R = _as_rational_symbol(phi)
-    n = R.n
-    theta_plus, tau = _side_inner_lcm(R.plus, n)
+    theta_plus, tau = _side_inner_lcm(R.plus)
     theta_minus, B = _coanalytic_factor(R)
     if not bl.divides(theta_minus, theta_plus):
         raise DivisibilityError(theta_minus.degree(), theta_plus.degree())
     theta0 = theta_plus.quotient(theta_minus)
-    A = _outer_grid(R.plus, tau, theta_plus, n)
-    return HypoFactorization(theta_minus, theta0, A, B, n)
+    return HypoFactorization(theta_minus, theta0, _outer_grid(tau, theta_plus), B)
 
 
 class DivisibilityError(ValueError):
@@ -100,48 +96,39 @@ class DivisibilityError(ValueError):
         super().__init__(f"inner divisibility fails: degree {m} part does not divide degree {N} part")
 
 
-def _side_inner_lcm(entries, n):
+def _side_inner_lcm(entries):
     """Per-entry coprime decompositions and their least common inner multiple."""
+    parts = [[bl.coanalytic_decompose(f) for f in row] for row in entries]
     lcm = bl.BlaschkeProduct.one()
-    parts = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            f = entries[i][j]
-            if f.is_zero():
-                parts[i][j] = (bl.BlaschkeProduct.one(), RationalFn([0.0]))
-                continue
-            theta, b = bl.coanalytic_decompose(f)
-            parts[i][j] = (theta, b)
-            _, lcm = bl.gcd_lcm(lcm, theta)
+    for row in parts:
+        for theta, _ in row:
+            lcm = bl.lcm(lcm, theta)
     return lcm, parts
 
 
-def _outer_grid(entries, parts, theta_side, n):
+def _outer_grid(parts, theta_side):
     """A with Phi_side = Theta_side A^*: entry (i, j) = b_{ji} * theta_side/theta_{ji}."""
-    A = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            theta_ji, b_ji = parts[j][i]
-            if b_ji.is_zero():
-                A[i][j] = RationalFn([0.0])
-                continue
-            quot = theta_side.quotient(theta_ji)
-            A[i][j] = b_ji * quot.as_rational()
-    return A
+    return [[RationalFn([0.0]) if b.is_zero() else b * theta_side.quotient(theta).as_rational()
+             for theta, b in column] for column in zip(*parts)]
+
+
+def _at_zeros(grid, theta):
+    """The matrices grid(alpha), one per zero alpha of theta, of a grid of RationalFn."""
+    return [np.array([[f(a) for f in row] for row in grid], dtype=complex) for a, _ in theta.zeros]
 
 
 def _coanalytic_factor(R):
     """(Theta_minus, B) with Phi_minus = Theta_minus B^*, where Phi = Phi_minus^* + Phi_plus:
     conj(R.minus[i][j]) is Phi's co-analytic entry (i, j), so Phi_minus's (j, i) is R.minus[i][j]."""
     minus = [[R.minus[j][i] for j in range(R.n)] for i in range(R.n)]
-    theta_minus, parts = _side_inner_lcm(minus, R.n)
-    return theta_minus, _outer_grid(minus, parts, theta_minus, R.n)
+    theta_minus, parts = _side_inner_lcm(minus)
+    return theta_minus, _outer_grid(parts, theta_minus)
 
 
 def _coanalytic_coprime(R):
     """(Theta_minus, ok, marginal): the coprimality certificate of R's co-analytic factorization."""
     theta_minus, B = _coanalytic_factor(R)
-    return (theta_minus, *bl.coprime_matrix_check(B, theta_minus))
+    return (theta_minus, *bl.coprime_matrix_check(_at_zeros(B, theta_minus)))
 
 
 def kernel_inclusion_holds(phi_sym: Symbol):
@@ -175,23 +162,16 @@ def verify_in_C(phi, K):
 
 
 def _interpolation_data(fact: HypoFactorization):
-    """Node list plus Taylor data of A and theta0*B at each node."""
-    theta_full = fact.theta_full
-    nodes = [(a, m) for a, m in theta_full.zeros]
+    """Node list plus the (m, n, n) Taylor jet stacks of A and theta0*B at each node."""
     t0 = fact.theta0.as_rational()
-    n = fact.n
-    A_data = []
-    B_data = []
-    for alpha, m in nodes:
-        Aj = np.zeros((m, n, n), dtype=complex)
-        Bj = np.zeros((m, n, n), dtype=complex)
-        for i in range(n):
-            for j in range(n):
-                Aj[:, i, j] = fact.A[i][j].taylor_jets(alpha, m)
-                Bj[:, i, j] = (t0 * fact.B[i][j]).taylor_jets(alpha, m)
-        A_data.append([Aj[k] for k in range(m)])
-        B_data.append([Bj[k] for k in range(m)])
-    return nodes, A_data, B_data
+    target = [[t0 * f for f in row] for row in fact.B]
+
+    def jets(grid, alpha, m):  # a contiguous stack, like the coefficient route's
+        return np.array([[f.taylor_jets(alpha, m) for f in row] for row in grid],
+                        dtype=complex).transpose(2, 0, 1).copy()
+
+    nodes = fact.theta_full.zeros
+    return nodes, [jets(fact.A, *node) for node in nodes], [jets(target, *node) for node in nodes]
 
 
 class _ShiftRoute:
@@ -209,7 +189,7 @@ class _ShiftRoute:
 
     def coanalytic_coprime(self):
         """(ok, marginal) for the inner part z^m, whose outer factor is A_{-m} at 0."""
-        return bl.coprime_matrix_check(lambda _: _prune(self.S.coeff(-self.m)), _ORIGIN)
+        return bl.coprime_matrix_check([_prune(self.S.coeff(-self.m))])
 
     def factor(self):
         """The model degree N, or DivisibilityError when z^m does not divide z^N."""
@@ -233,7 +213,7 @@ class _ShiftRoute:
         return T.transpose(0, 2, 1, 3).reshape(N * n, N * n)
 
     def outer_invertible(self):
-        return bl.coprime_matrix_check(lambda _: self.outer[0], _ORIGIN)[0]
+        return bl.coprime_matrix_check([self.outer[0]])[0]
 
 
 class _BlaschkeRoute:
@@ -251,14 +231,13 @@ class _BlaschkeRoute:
         return self.theta.degree()
 
     def solve(self):
-        K = ms.hermite_fejer_solve(*_interpolation_data(self.fact), n=self.R.n)
-        return K.poly, K.lsq_nodes
+        return ms.hermite_fejer_solve(*_interpolation_data(self.fact))
 
     def at_model(self, K):
         return ms.poly_of_M(K, ms.build_M(self.theta.zero_list()))
 
     def outer_invertible(self):
-        return bl.coprime_matrix_check(self.fact.A, self.theta)[0]
+        return bl.coprime_matrix_check(_at_zeros(self.fact.A, self.theta))[0]
 
 
 def _route(phi):

@@ -158,19 +158,6 @@ def _compress_on_grid(P, theta, g):
     return out.transpose(0, 2, 1, 3).reshape(n * d, n * d)
 
 
-@dataclass
-class InterpolantK:
-    """Matrix polynomial solving the per-node triangular data systems."""
-
-    poly: Symbol  # analytic matrix polynomial, degree <= d-1
-    nodes: list  # [(alpha_i, m_i)]
-    data: list  # K_{i,j} matrices per node, data[i][j]
-    lsq_nodes: list  # node indices where the leading data matrix was singular
-
-    def degree(self):
-        return max(self.poly.hi, 0)
-
-
 class InterpolationInconsistent(ValueError):
     """Raised when a singular node system has no solution: the candidate
     set for the symbol is empty at that node, certifying non-hyponormality."""
@@ -181,36 +168,31 @@ class InterpolationInconsistent(ValueError):
         super().__init__(f"no interpolant exists at node {node} (residual {residual:.3e})")
 
 
-def hermite_fejer_solve(nodes, A_data, B_data, n=None) -> InterpolantK:
+def hermite_fejer_solve(nodes, A_data, B_data):
     """Solve the block lower-triangular node systems and interpolate.
 
     nodes: [(alpha_i, m_i)] with distinct alpha_i.
-    A_data[i][j], B_data[i][j]: n x n Taylor data A^{(j)}(alpha_i)/j! and
-    (analytic target)^{(j)}(alpha_i)/j! for 0 <= j < m_i.
+    A_data[i], B_data[i]: (m_i, n, n) stacks of the Taylor data
+    A^{(j)}(alpha_i)/j! and (analytic target)^{(j)}(alpha_i)/j!.
 
-    Per node, forward substitution yields K_{i,j} with
-    sum_l K_{i,l} A_{i,j-l} = B_{i,j}; a singular leading matrix A_{i,0}
-    falls back to a least-squares solve over the whole node system and
-    flags the node (the caller must verify membership explicitly).  An
+    Per node, `solve_node` yields K_{i,j} with sum_l K_{i,l} A_{i,j-l} =
+    B_{i,j}; a singular leading matrix A_{i,0} falls back to least squares
+    and flags the node (the caller must verify membership explicitly).  An
     inconsistent singular system raises InterpolationInconsistent.
 
-    The returned matrix polynomial has degree <= d-1 and matches the
-    prescribed jets at every node.
+    Returns (K, least-squares node indices): K is the matrix polynomial of
+    degree <= d-1 with the solved jets at every node.
     """
     nodes = [(complex(a), int(m)) for a, m in nodes]
-    if n is None:
-        n = np.asarray(A_data[0][0]).shape[0]
+    n = np.shape(A_data[0])[-1]
     Kdata = []
     lsq_nodes = []
-    for i, (alpha, m) in enumerate(nodes):
-        A = [np.asarray(A_data[i][j], dtype=complex) for j in range(m)]
-        B = [np.asarray(B_data[i][j], dtype=complex) for j in range(m)]
-        Ks, lsq = solve_node(alpha, A, B, n)
+    for i, ((alpha, _), A, B) in enumerate(zip(nodes, A_data, B_data)):
+        Ks, lsq = solve_node(alpha, np.asarray(A, dtype=complex), np.asarray(B, dtype=complex), n)
         if lsq:
             lsq_nodes.append(i)
         Kdata.append(Ks)
-    poly = _assemble_interpolant(nodes, Kdata, n)
-    return InterpolantK(poly, nodes, Kdata, lsq_nodes)
+    return _assemble_interpolant(nodes, Kdata, n), lsq_nodes
 
 
 def solve_node(alpha, A, B, n):
@@ -302,16 +284,13 @@ def _scalar_jets(p, z0, order):
     return jets
 
 
-def interpolation_residual(K: InterpolantK):
-    """Max deviation of the polynomial's jets from the prescribed data."""
+def interpolation_residual(K: Symbol, nodes, A_data, B_data):
+    """Max entrywise deviation of sum_l K^{(l)}(alpha)/l! A_{j-l} from B_j over the node equations."""
+    C = K.coeffs(0, max(K.hi, 0))
     worst = 0.0
-    n = K.poly.n
-    C = K.poly.coeffs(0, max(K.poly.hi, 0))
-    for i, (alpha, m) in enumerate(K.nodes):
-        entry_jets = np.zeros((m, n, n), dtype=complex)
-        for r in range(n):
-            for s in range(n):
-                entry_jets[:, r, s] = _scalar_jets(C[:, r, s], alpha, m)
+    for (alpha, m), A, B in zip(nodes, A_data, B_data):
+        jets = np.apply_along_axis(_scalar_jets, 0, C, alpha, m)  # (m, n, n)
         for j in range(m):
-            worst = max(worst, float(np.max(np.abs(entry_jets[j] - K.data[i][j]))))
+            lhs = sum(jets[l] @ A[j - l] for l in range(j + 1))
+            worst = max(worst, float(np.max(np.abs(lhs - B[j]))))
     return worst

@@ -212,18 +212,27 @@ class Symbol:
 
     @classmethod
     def from_json_dict(cls, d):
-        n = int(d["n"])
+        """Read the JSON form: an integer n, each integer degree once, entries as [re, im] pairs."""
+        n = _json_int(d["n"], "n")
         coeffs = {}
         for item in d.get("coeffs", []):
-            A = np.array(
-                [[complex(v[0], v[1]) for v in row] for row in item["matrix"]],
-                dtype=complex,
-            )
-            coeffs[int(item["deg"])] = A
+            deg = _json_int(item["deg"], "deg")
+            if deg in coeffs:
+                raise ValueError(f"degree {deg} is given twice")
+            if any(len(v) != 2 for row in item["matrix"] for v in row):
+                raise ValueError(f"an entry of degree {deg} is not an [re, im] pair")
+            coeffs[deg] = np.array([[complex(v[0], v[1]) for v in row] for row in item["matrix"]],
+                                   dtype=complex)
         return cls(n, coeffs)
 
     def __repr__(self):
         return f"Symbol(n={self.n}, support={self.support()})"
+
+
+def _json_int(v, name):
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ValueError(f"{name} must be an integer, not {v!r}")
+    return v
 
 
 def is_normal_symbol(phi: Symbol):

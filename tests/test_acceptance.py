@@ -29,12 +29,12 @@ def test_criterion_1_quartic_chain_exact():
     t0 = time.monotonic()
     fact = dc.factorize(PHI_QUARTIC)
     nodes, A_data, B_data = dc._interpolation_data(fact)
-    K = ms.hermite_fejer_solve(nodes, A_data, B_data, n=1)
-    assert abs(K.poly.scalar_coeff(0) - 0.5) <= 1e-10
-    assert abs(K.poly.scalar_coeff(1) - 0.75) <= 1e-10
+    K, _ = ms.hermite_fejer_solve(nodes, A_data, B_data)
+    assert abs(K.scalar_coeff(0) - 0.5) <= 1e-10
+    assert abs(K.scalar_coeff(1) - 0.75) <= 1e-10
     model = ms.build_M(fact.theta_full.zero_list())
     np.testing.assert_allclose(model.matrix, [[0, 0], [1, 0]], atol=1e-10)
-    KM = ms.poly_of_M(K.poly, model)
+    KM = ms.poly_of_M(K, model)
     np.testing.assert_allclose(KM, [[0.5, 0], [0.75, 0.5]], atol=1e-10)
     v = dc.decide_hyponormal(PHI_QUARTIC)
     assert v.tag == "Hyponormal"

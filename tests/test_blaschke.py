@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from blocktoeplitz.blaschke import (
+    MATCH_TOL,
     BlaschkeProduct,
     coanalytic_decompose,
     coprime_matrix_check,
     divides,
-    gcd_lcm,
+    lcm,
 )
+from blocktoeplitz.decide import _at_zeros
 from blocktoeplitz.rational import RationalFn
 
 
@@ -48,15 +50,22 @@ def test_rejects_bad_zero():
         BlaschkeProduct(2.0, [])
 
 
+def common_degree(t1, t2):
+    """Degree of the greatest common divisor: the sum of the smaller multiplicities."""
+    return sum(min(m, t2.multiplicity_at(a)) for a, m in t1.zeros)
+
+
 def test_gcd_lcm_monomials():
     z2 = BlaschkeProduct.monomial(2)
     z3 = BlaschkeProduct.monomial(3)
-    g, l = gcd_lcm(z2, z3)
-    assert g.degree() == 2 and l.degree() == 3
+    l = lcm(z2, z3)
+    assert common_degree(z2, z3) == 2 and l.degree() == 3
+    assert divides(z2, l) and divides(z3, l)
     t1 = BlaschkeProduct(1.0, [(0.0, 1), (0.5, 1)])
-    g, l = gcd_lcm(t1, z2)
-    assert g.degree() == 1 and g.zeros[0][0] == 0
-    assert l.degree() == 3 and l.multiplicity_at(0.5) == 1
+    l = lcm(t1, z2)
+    assert common_degree(t1, z2) == 1
+    assert l.degree() == 3 and l.multiplicity_at(0.5) == 1 and l.multiplicity_at(0) == 2
+    assert divides(t1, l) and divides(z2, l)
 
 
 def test_gcd_idempotent_and_product_identity():
@@ -64,16 +73,23 @@ def test_gcd_idempotent_and_product_identity():
     for _ in range(5):
         t1 = random_blaschke(rng)
         t2 = random_blaschke(rng)
-        g, _ = gcd_lcm(t1, t1)
-        assert g.degree() == t1.degree()
-        g, l = gcd_lcm(t1, t2)
-        assert g.degree() + l.degree() == t1.degree() + t2.degree()
-        # gcd * lcm = t1 * t2 up to a unimodular constant
-        t = 2 * np.pi * np.arange(128) / 128
-        z = np.exp(1j * t)
-        ratio = (g(z) * l(z)) / (t1(z) * t2(z))
-        np.testing.assert_allclose(np.abs(ratio), 1.0, atol=1e-10)
-        np.testing.assert_allclose(ratio, ratio[0], atol=1e-9)
+        assert lcm(t1, t1).degree() == t1.degree()
+        l = lcm(t1, t2)
+        assert divides(t1, l) and divides(t2, l)
+        # deg lcm + deg gcd = deg t1 + deg t2
+        assert l.degree() == t1.degree() + t2.degree() - common_degree(t1, t2)
+
+
+def test_lcm_keeps_the_first_center_of_near_coincident_zeros():
+    a = 0.3 + 0.2j
+    near = a + 0.3 * MATCH_TOL
+    t1 = BlaschkeProduct(1.0, [(a, 1), (0.5, 2)])
+    t2 = BlaschkeProduct(1.0, [(near, 2), (-0.4, 1)])
+    assert lcm(t1, t2).zeros == [(a, 2), (0.5, 2), (-0.4, 1)]
+    assert lcm(t2, t1).zeros == [(near, 2), (-0.4, 1), (0.5, 2)]
+    # a zero just outside the tolerance is a different zero
+    far = BlaschkeProduct(1.0, [(a + 2 * MATCH_TOL, 1)])
+    assert lcm(t1, far).zeros == [(a, 1), (0.5, 2), (a + 2 * MATCH_TOL, 1)]
 
 
 def test_divides():
@@ -145,18 +161,18 @@ def test_decompose_reexpansion_reproduces_symbol():
 
 
 def test_coprime_check_identity_and_rank_deficient():
-    ok, _ = coprime_matrix_check(lambda _: np.eye(2), BlaschkeProduct.monomial(1))
+    ok, _ = coprime_matrix_check([np.eye(2)])
     assert ok
-    ok, _ = coprime_matrix_check(lambda _: np.ones((2, 2)), BlaschkeProduct.monomial(1))
+    ok, _ = coprime_matrix_check([np.ones((2, 2))])
     assert not ok
-    ok, _ = coprime_matrix_check(lambda _: np.diag([1.0, 0.0]), BlaschkeProduct(1.0, [(0.4, 1)]))
+    ok, _ = coprime_matrix_check([np.diag([1.0, 0.0])])
     assert not ok
 
 
 def test_coprime_check_rational_grid():
     B = [[RationalFn([1.0]), RationalFn([0.0, 1.0])],
          [RationalFn([0.0]), RationalFn([1.0])]]
-    ok, _ = coprime_matrix_check(B, BlaschkeProduct.monomial(2))
+    ok, _ = coprime_matrix_check(_at_zeros(B, BlaschkeProduct.monomial(2)))
     assert ok
 
 
@@ -166,7 +182,7 @@ def test_coprime_false_for_singular_det():
     col = rng.normal(size=(2, 1)) + 1j * rng.normal(size=(2, 1))
     rank_one = col @ col.conj().T
     theta = random_blaschke(rng)
-    ok, _ = coprime_matrix_check(lambda _: rank_one, theta)
+    ok, _ = coprime_matrix_check([rank_one for _ in theta.zeros])
     assert not ok
 
 

@@ -120,7 +120,21 @@ def test_input_error_exit(capsys):
     (["check-hyponormal"], '{"n": 1, "coeffs": [{"deg": 1, "matrix": 5}]}'),
     (["export", "model", "--zeros", "1"], None),
     (["export", "model", "--zeros", "[[1,2]]"], None),
-], ids=["file-without-n", "file-matrix-not-a-list", "zeros-not-a-list", "zeros-nested"])
+    (["export", "model", "--zeros", '{"0.5": 1}'], None),
+    (["export", "model", "--zeros", '"0"'], None),
+    (["export", "model", "--zeros", '"05"'], None),
+    (["export", "model", "--zeros", '"00"'], None),
+    (["check-hyponormal"], '{"n": 1, "coeffs": [{"deg": 1.5, "matrix": [[[1, 0]]]}]}'),
+    (["check-hyponormal"], '{"n": 1, "coeffs": [{"deg": "1", "matrix": [[[1, 0]]]}]}'),
+    (["check-hyponormal"], '{"n": 1, "coeffs": [{"deg": true, "matrix": [[[1, 0]]]}]}'),
+    (["check-hyponormal"], '{"n": 1.7, "coeffs": [{"deg": 1, "matrix": [[[1, 0]]]}]}'),
+    (["check-hyponormal"], '{"n": 1, "coeffs": [{"deg": 1, "matrix": [[[1, 0]]]}, '
+                           '{"deg": 1, "matrix": [[[2, 0]]]}]}'),
+    (["check-hyponormal"], '{"n": 1, "coeffs": [{"deg": 1, "matrix": [[[1, 0, 5]]]}]}'),
+], ids=["file-without-n", "file-matrix-not-a-list", "zeros-not-a-list", "zeros-nested",
+        "zeros-object", "zeros-string", "zeros-digit-string",
+        "zeros-in-disk-digit-string", "file-deg-float", "file-deg-string",
+        "file-deg-bool", "file-n-float", "file-deg-repeated", "file-entry-three-values"])
 def test_malformed_input_is_an_input_error(argv, symbol_file, tmp_path, capsys):
     if symbol_file is not None:
         path = tmp_path / "symbol.json"
@@ -137,6 +151,10 @@ def test_export_model(capsys):
     out = json.loads(capsys.readouterr().out)
     assert code == 0
     assert out["matrix"][1][0] == [1.0, 0.0]
+    code = main(["export", "model", "--zeros", '["0.3+0.2j", "0.3+0.2j"]'])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert out["zeros"] == [[0.3, 0.2], [0.3, 0.2]]
 
 
 def test_export_completion_residual(capsys):

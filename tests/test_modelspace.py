@@ -115,23 +115,22 @@ def test_model_identity_random_sweep():
         )
 
 
+def scalar_jets(*values):
+    """(m, 1, 1) stack of scalar node data."""
+    return np.array(values, dtype=complex).reshape(len(values), 1, 1)
+
+
 def test_hermite_fejer_single_node_pair():
     # the worked degree-2 instance: A-data (2, 1), B-data (1, 2) at 0
-    one = np.eye(1)
-    K = hermite_fejer_solve(
-        [(0.0, 2)],
-        [[2 * one, 1 * one]],
-        [[1 * one, 2 * one]],
-    )
-    assert K.poly.scalar_coeff(0) == pytest.approx(0.5)
-    assert K.poly.scalar_coeff(1) == pytest.approx(0.75)
-    assert not K.lsq_nodes
+    K, lsq_nodes = hermite_fejer_solve([(0.0, 2)], [scalar_jets(2, 1)], [scalar_jets(1, 2)])
+    assert K.scalar_coeff(0) == pytest.approx(0.5)
+    assert K.scalar_coeff(1) == pytest.approx(0.75)
+    assert not lsq_nodes
 
 
 def test_hermite_fejer_trivial_zero():
-    one = np.eye(1)
-    K = hermite_fejer_solve([(0.2, 1)], [[one]], [[0 * one]])
-    assert K.poly.is_zero()
+    K, _ = hermite_fejer_solve([(0.2, 1)], [scalar_jets(1)], [scalar_jets(0)])
+    assert K.is_zero()
 
 
 def test_hermite_fejer_random_residual():
@@ -152,29 +151,28 @@ def test_hermite_fejer_random_residual():
         A_data = []
         B_data = []
         for a, m in nodes:
-            A_data.append([np.eye(n) * (2 + rng.normal()) + rng.normal(size=(n, n)) * 0.3
-                           for _ in range(m)])
-            B_data.append([rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-                           for _ in range(m)])
-        K = hermite_fejer_solve(nodes, A_data, B_data, n=n)
+            A_data.append(np.array([np.eye(n) * (2 + rng.normal()) + rng.normal(size=(n, n)) * 0.3
+                                    for _ in range(m)]))
+            B_data.append(np.array([rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+                                    for _ in range(m)]))
+        K, _ = hermite_fejer_solve(nodes, A_data, B_data)
         d = sum(m for _, m in nodes)
-        assert K.degree() <= d - 1
-        assert interpolation_residual(K) < 1e-9
+        assert max(K.hi, 0) <= d - 1
+        assert interpolation_residual(K, nodes, A_data, B_data) < 1e-9
 
 
 def test_hermite_fejer_inconsistent_raises():
     # singular leading data with incompatible right side has no solution
-    A0 = np.zeros((1, 1))
     with pytest.raises(InterpolationInconsistent):
-        hermite_fejer_solve([(0.0, 1)], [[A0]], [[np.eye(1)]])
+        hermite_fejer_solve([(0.0, 1)], [scalar_jets(0)], [scalar_jets(1)])
 
 
 def test_hermite_fejer_lsq_flagged():
     # singular but consistent: solved in least squares, node flagged
     A0 = np.diag([1.0, 0.0])
     B0 = np.diag([1.0, 0.0])
-    K = hermite_fejer_solve([(0.0, 1)], [[A0]], [[B0]], n=2)
-    assert K.lsq_nodes == [0]
+    _, lsq_nodes = hermite_fejer_solve([(0.0, 1)], [A0[None]], [B0[None]])
+    assert lsq_nodes == [0]
 
 
 def test_hermite_fejer_singular_node_recovers_known_jets():
@@ -184,15 +182,12 @@ def test_hermite_fejer_singular_node_recovers_known_jets():
     cplx = lambda: rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     u = rng.normal(size=2) + 1j * rng.normal(size=2)
     v = rng.normal(size=2) + 1j * rng.normal(size=2)
-    A = [np.outer(u, v), cplx(), cplx()]
+    A = np.array([np.outer(u, v), cplx(), cplx()])
     K_true = [cplx() for _ in range(3)]
-    B = [sum(K_true[l] @ A[j - l] for l in range(j + 1)) for j in range(3)]
-    K = hermite_fejer_solve([(0.0, 3)], [A], [B], n=2)
-    assert K.lsq_nodes == [0]
-    for j in range(3):
-        np.testing.assert_allclose(sum(K.data[0][l] @ A[j - l] for l in range(j + 1)), B[j],
-                                   atol=1e-10)
-    assert interpolation_residual(K) < 1e-9
+    B = np.array([sum(K_true[l] @ A[j - l] for l in range(j + 1)) for j in range(3)])
+    K, lsq_nodes = hermite_fejer_solve([(0.0, 3)], [A], [B])
+    assert lsq_nodes == [0]
+    assert interpolation_residual(K, [(0.0, 3)], [A], [B]) < 1e-9
 
 
 def test_defect_unchanged_across_candidate_members():
