@@ -112,7 +112,7 @@ class BlaschkeProduct:
 def lcm(t1: BlaschkeProduct, t2: BlaschkeProduct):
     """Least common multiple: t1's zeros, plus each zero a of t2 with the multiplicity
     m - t1.multiplicity_at(a) wherever that is positive."""
-    extra = [(a, m - t1.multiplicity_at(a)) for a, m in t2.zeros if m > t1.multiplicity_at(a)]
+    extra = [(a, k) for a, m in t2.zeros if (k := m - t1.multiplicity_at(a)) > 0]
     return BlaschkeProduct(1.0, t1.zeros + extra)
 
 

@@ -139,7 +139,6 @@ def test_hermite_fejer_random_residual():
         n = int(rng.integers(1, 3))
         nnodes = int(rng.integers(1, 4))
         nodes = []
-        pts = []
         total = 0
         while len(nodes) < nnodes and total < 6:
             a = complex(rng.normal(), rng.normal()) * 0.3
