@@ -5,7 +5,6 @@ from .symbols import (
     Symbol,
     RationalSymbol,
     is_normal_symbol,
-    sup_norm,
 )
 from .rational import RationalFn
 from .blaschke import (
@@ -16,7 +15,6 @@ from .blaschke import (
     coprime_matrix_check,
 )
 from .modelspace import (
-    TriangularModel,
     InterpolationInconsistent,
     tm_basis,
     build_M,
@@ -30,7 +28,6 @@ from .operators import (
     toeplitz_window,
     hankel_window,
     selfcommutator_exact,
-    pseudo_selfcommutator,
     k_hypo_window,
     square_hypo_window,
     normal_nontoeplitz_completion,

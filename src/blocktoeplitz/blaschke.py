@@ -104,10 +104,6 @@ class BlaschkeProduct:
     def one(cls):
         return cls(1.0, [])
 
-    @classmethod
-    def monomial(cls, k):
-        return cls(1.0, [(0.0, k)]) if k > 0 else cls.one()
-
 
 def lcm(t1: BlaschkeProduct, t2: BlaschkeProduct):
     """Least common multiple: t1's zeros, plus each zero a of t2 with the multiplicity

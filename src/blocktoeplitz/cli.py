@@ -252,8 +252,11 @@ _SUITES = {
 
 
 def _suite(args):
-    run, cases, header = _SUITES[args.name]
-    rows, ok = run() if cases is None else run(cases=args.cases or cases, seed=args.seed)
+    run, default, header = _SUITES[args.name]
+    cases = default if args.cases is None else args.cases  # only a missing flag means the default
+    if cases is not None and cases < 1:
+        raise ExprError(f"--cases must be at least 1, not {cases}")
+    rows, ok = run() if default is None else run(cases=cases, seed=args.seed)
     _write(_csv([header, *rows]), args)
     return EXIT_DECIDED if ok else EXIT_UNDECIDED
 
@@ -266,8 +269,7 @@ def _export_model(args):
         zeros = [complex(x) for x in zeros]
     except (TypeError, ValueError) as e:
         raise ExprError(f"--zeros entries must be numbers or complex strings: {e}") from e
-    model = ms.build_M(zeros)
-    _emit({"zeros": _pairs(model.zeros), "matrix": _pairs(model.matrix)}, args)
+    _emit({"zeros": _pairs(zeros), "matrix": _pairs(ms.build_M(zeros))}, args)
     return EXIT_DECIDED
 
 

@@ -148,15 +148,13 @@ def kernel_inclusion_holds(phi_sym: Symbol):
     return r2 == r1
 
 
-def verify_in_C(phi, K):
+def verify_in_C(phi: Symbol, K: Symbol):
     """Membership of K in the candidate set: Phi - K Phi* is analytic.
 
     Checked on exact Fourier coefficients: every negative-degree
     coefficient of Phi - K Phi* has entrywise modulus <= MEMBERSHIP_TOL.
     """
-    S = phi if isinstance(phi, Symbol) else phi.to_symbol()
-    Ksym = K if isinstance(K, Symbol) else K.to_symbol()
-    diff = S - Ksym * S.star()
+    diff = phi - K * phi.star()
     neg = diff.coeffs(diff.lo, -1)
     return not neg.size or float(np.max(np.abs(neg))) <= MEMBERSHIP_TOL
 

@@ -15,8 +15,6 @@ vec(K A) = (I kron A^T) vec(K).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .blaschke import BlaschkeProduct
@@ -28,20 +26,8 @@ GRID_CAP = 16384
 QUAD_TOL = 1e-9
 
 
-@dataclass
-class TriangularModel:
-    """Lower-triangular model of the compressed shift on d nodes."""
-
-    zeros: list  # alpha_1..alpha_d in grouped order, repeats allowed
-    matrix: np.ndarray  # d x d complex lower-triangular
-
-    @property
-    def d(self):
-        return len(self.zeros)
-
-
-def build_M(zeros) -> TriangularModel:
-    """Model matrix for the listed contraction eigenvalues (|alpha| < 1).
+def build_M(zeros) -> np.ndarray:
+    """The d x d lower-triangular model matrix for the listed contraction eigenvalues (|alpha| < 1).
 
     Diagonal alpha_j; strictly lower entries q_k q_j prod_{l=k+1}^{j-1}
     (-conj(alpha_l)).  Norm is at most 1 (it models a contraction), and
@@ -62,7 +48,7 @@ def build_M(zeros) -> TriangularModel:
             for l in range(k + 1, j):
                 prod *= -np.conj(zeros[l])
             M[j, k] = q[k] * q[j] * prod
-    return TriangularModel(zeros, M)
+    return M
 
 
 def tm_basis(theta: BlaschkeProduct):
@@ -85,8 +71,8 @@ def tm_basis(theta: BlaschkeProduct):
     return out
 
 
-def poly_of_M(P, model: TriangularModel):
-    """Matrix polynomial evaluated at the model: sum_i kron(M^i, P_i).
+def poly_of_M(P, M):
+    """Matrix polynomial evaluated at the model matrix M: sum_i kron(M^i, P_i).
 
     P is an analytic Symbol (support >= 0); the block layout places the
     model index outside and the matrix-coefficient index inside, matching
@@ -95,35 +81,13 @@ def poly_of_M(P, model: TriangularModel):
     if P.lo < 0:
         raise ValueError("functional calculus needs an analytic polynomial")
     n = P.n
-    d = model.d
+    d = M.shape[0]
     out = np.zeros((n * d, n * d), dtype=complex)
     Mi = np.eye(d, dtype=complex)
     for Ai in P.coeffs(0, P.hi):
         if np.max(np.abs(Ai)) > 0:
             out += np.kron(Mi, Ai)
-        Mi = Mi @ model.matrix
-    return out
-
-
-def eval_poly_at_contraction(P, M, tail_tol=1e-12, max_terms=2000):
-    """sum_i kron(M^i, P_i) for a possibly long analytic expansion.
-
-    Convergence at a strict contraction M is geometric; terms stop once
-    the running power norm falls below tail_tol relative to the
-    coefficient scale.  Used for rational calculus via truncated series.
-    """
-    if P.lo < 0:
-        raise ValueError("needs analytic expansion")
-    n = P.n
-    d = M.shape[0]
-    out = np.zeros((n * d, n * d), dtype=complex)
-    Mi = np.eye(d, dtype=complex)
-    for Ai in P.coeffs(0, min(P.hi, max_terms)):
-        if np.max(np.abs(Ai)) > 0:
-            out += np.kron(Mi, Ai)
         Mi = Mi @ M
-        if np.linalg.norm(Mi, 2) < tail_tol:
-            break
     return out
 
 
@@ -282,15 +246,3 @@ def _scalar_jets(p, z0, order):
             fact *= j
         jets[j] = (np.polyval(dp[::-1], z0) if len(dp) else 0.0) / fact
     return jets
-
-
-def interpolation_residual(K: Symbol, nodes, A_data, B_data):
-    """Max entrywise deviation of sum_l K^{(l)}(alpha)/l! A_{j-l} from B_j over the node equations."""
-    C = K.coeffs(0, max(K.hi, 0))
-    worst = 0.0
-    for (alpha, m), A, B in zip(nodes, A_data, B_data):
-        jets = np.apply_along_axis(_scalar_jets, 0, C, alpha, m)  # (m, n, n)
-        for j in range(m):
-            lhs = sum(jets[l] @ A[j - l] for l in range(j + 1))
-            worst = max(worst, float(np.max(np.abs(lhs - B[j]))))
-    return worst

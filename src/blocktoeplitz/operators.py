@@ -151,14 +151,6 @@ def selfcommutator_exact(phi: Symbol, W: int | None = None) -> WindowedOperator:
     return WindowedOperator(W, phi.n, corner, exact=exact)
 
 
-def pseudo_selfcommutator(phi: Symbol, W: int | None = None) -> WindowedOperator:
-    """Window of the Hankel difference H_{Phi*}* H_{Phi*} - H_Phi* H_Phi."""
-    m, N = phi.degree_bounds()
-    if W is None:
-        W = m + N + 1
-    return WindowedOperator(W, phi.n, _hankel_difference(phi, phi.star(), W), exact=(W >= max(m, N)))
-
-
 def _hankel_difference(phi: Symbol, star: Symbol, W: int):
     """H_{Phi*}* H_{Phi*} - H_Phi* H_Phi on the W-window, from the nonzero Hankel corners."""
     Hs = _hankel_corner(star, W)
@@ -465,13 +457,3 @@ def normal_nontoeplitz_completion(W: int):
     k = max(1, W - margin)
     residual = float(np.max(np.abs(R[:k, :k])))
     return WindowedOperator(W, 2, T, exact=False), residual
-
-
-def is_constant_diagonal(A, tol=1e-12):
-    """Toeplitz test: every diagonal of the window is constant."""
-    W = A.shape[0]
-    for d in range(-W + 1, W):
-        diag = np.diagonal(A, offset=d)
-        if len(diag) > 1 and np.max(np.abs(diag - diag[0])) > tol:
-            return False
-    return True

@@ -103,26 +103,11 @@ class RationalFn:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return RationalFn(-self.num, self.den)
-
-    def __sub__(self, other):
-        return self + (-_as_rational(other))
-
-    def __rsub__(self, other):
-        return _as_rational(other) + (-self)
-
     def __mul__(self, other):
         other = _as_rational(other)
         return RationalFn(np.convolve(self.num, other.num), np.convolve(self.den, other.den))
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _as_rational(other)
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return RationalFn(np.convolve(self.num, other.den), np.convolve(self.den, other.num))
 
     # -- analysis ----------------------------------------------------------
     def __call__(self, z):

@@ -10,8 +10,8 @@ as zero.
 Rational (non-polynomial) symbols enter as `RationalSymbol`: an n x n
 grid of (plus, minus) RationalFn pairs.  Their Fourier side, from
 `to_symbol`, is a truncated Symbol with a certified geometric tail below
-TAIL_TOL.  Coefficients, the split, the tilde involution and products
-are methods and operators of `Symbol` (`coeff`, `split`, `tilde`, `*`).
+TAIL_TOL.  Coefficients, the split and products are methods and
+operators of `Symbol` (`coeff`, `split`, `*`).
 """
 
 from __future__ import annotations
@@ -20,11 +20,9 @@ import itertools
 
 import numpy as np
 
-from .rational import RationalFn
+from .rational import DROP_TOL, RationalFn
 
-DROP_TOL = 1e-12
 TAIL_TOL = 1e-14
-EQ_TOL = 1e-10
 
 
 class Symbol:
@@ -77,10 +75,6 @@ class Symbol:
     def scalar(cls, coeffs):
         """Scalar symbol from a {degree: complex} dict."""
         return cls(1, {j: [[v]] for j, v in coeffs.items()})
-
-    @classmethod
-    def identity(cls, n):
-        return cls(n, {0: np.eye(n)})
 
     # -- accessors ---------------------------------------------------------
     @property
@@ -171,10 +165,6 @@ class Symbol:
         """Adjoint symbol Phi*(z), with coefficient (A_{-j})^* at degree j."""
         return self._derived(-self.hi, self.c[::-1].conj().transpose(0, 2, 1))
 
-    def tilde(self):
-        """The involution Phi~(z) = Phi*(conj(z)); adjoints each coefficient in place."""
-        return self._derived(self.lo, self.c.conj().transpose(0, 2, 1))
-
     def split(self):
         """Analytic/co-analytic split (Phi_plus, Phi_minus).
 
@@ -195,25 +185,12 @@ class Symbol:
         vals = zp @ self.c.reshape(len(self.c), self.n * self.n)
         return vals.reshape(len(t), self.n, self.n)
 
-    def equals(self, other, tol=EQ_TOL):
-        return (self - other).is_zero(tol)
-
-    def to_json_dict(self):
-        return {
-            "n": self.n,
-            "coeffs": [
-                {
-                    "deg": j,
-                    "matrix": [[[float(v.real), float(v.imag)] for v in row] for row in self.c[j - self.lo]],
-                }
-                for j in self.support()
-            ],
-        }
-
     @classmethod
     def from_json_dict(cls, d):
         """Read the JSON form: an integer n, each integer degree once, entries as [re, im] pairs."""
         n = _json_int(d["n"], "n")
+        if n < 1:
+            raise ValueError(f"n must be at least 1, not {n}")
         coeffs = {}
         for item in d.get("coeffs", []):
             deg = _json_int(item["deg"], "deg")
@@ -241,23 +218,6 @@ def is_normal_symbol(phi: Symbol):
         return True
     diff = phi.star() * phi - phi * phi.star()
     return diff.is_zero(1e-9)
-
-
-def sup_norm(phi: Symbol, grid=None):
-    """Max spectral norm of Phi over an equispaced circle grid.
-
-    A lower bound for the essential sup norm; for the smooth symbols in
-    scope, doubling the grid changes the value below tolerance.  The grid
-    must resolve the bandwidth (grid >= 2*bandwidth + 1).
-    """
-    bw = phi.bandwidth()
-    if grid is None:
-        grid = max(256, 2 * bw + 1)
-    if grid < 2 * bw + 1:
-        raise ValueError(f"grid {grid} too coarse for bandwidth {bw}")
-    t = 2 * np.pi * np.arange(grid) / grid
-    vals = phi.eval_circle(t)
-    return float(np.max(np.linalg.norm(vals, ord=2, axis=(1, 2))))
 
 
 def _prune(v):

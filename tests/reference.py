@@ -1,0 +1,74 @@
+"""Independent oracles that the tests check the library against.
+
+The decision routes, the CLI and the benchmark call none of these, so
+they live with the tests rather than in the package.
+"""
+
+from math import comb
+
+import numpy as np
+
+from blocktoeplitz.symbols import Symbol
+
+
+def sup_norm(phi: Symbol, grid=None):
+    """Max spectral norm of Phi over an equispaced circle grid.
+
+    A lower bound for the essential sup norm; for the smooth symbols in
+    scope, doubling the grid changes the value below tolerance.  The grid
+    must resolve the bandwidth (grid >= 2*bandwidth + 1).
+    """
+    bw = phi.bandwidth()
+    if grid is None:
+        grid = max(256, 2 * bw + 1)
+    if grid < 2 * bw + 1:
+        raise ValueError(f"grid {grid} too coarse for bandwidth {bw}")
+    t = 2 * np.pi * np.arange(grid) / grid
+    vals = phi.eval_circle(t)
+    return float(np.max(np.linalg.norm(vals, ord=2, axis=(1, 2))))
+
+
+def tilde(phi: Symbol):
+    """The involution Phi~(z) = Phi*(conj(z)): each coefficient adjointed in place."""
+    return Symbol.from_coeffs(phi.lo, phi.c.conj().transpose(0, 2, 1))
+
+
+def to_json_dict(phi: Symbol):
+    """The symbol file form that `Symbol.from_json_dict` reads."""
+    return {
+        "n": phi.n,
+        "coeffs": [
+            {
+                "deg": j,
+                "matrix": [[[float(v.real), float(v.imag)] for v in row] for row in phi.coeff(j)],
+            }
+            for j in phi.support()
+        ],
+    }
+
+
+def is_constant_diagonal(A, tol=1e-12):
+    """Toeplitz test: every diagonal of the window is constant."""
+    W = A.shape[0]
+    for d in range(-W + 1, W):
+        diag = np.diagonal(A, offset=d)
+        if len(diag) > 1 and np.max(np.abs(diag - diag[0])) > tol:
+            return False
+    return True
+
+
+def interpolation_residual(K: Symbol, nodes, A_data, B_data):
+    """Max entrywise deviation of sum_l K^{(l)}(alpha)/l! A_{j-l} from B_j over the node equations.
+
+    The jets K^{(l)}(alpha)/l! = sum_k binom(k, l) alpha^{k-l} K_k come
+    straight from the coefficients, not from the solver's jet routine.
+    """
+    C = K.coeffs(0, max(K.hi, 0))
+    worst = 0.0
+    for (alpha, m), A, B in zip(nodes, A_data, B_data):
+        jets = [sum((comb(k, l) * alpha ** (k - l) * C[k] for k in range(l, len(C))),
+                    np.zeros((K.n, K.n), dtype=complex)) for l in range(m)]
+        for j in range(m):
+            lhs = sum(jets[l] @ A[j - l] for l in range(j + 1))
+            worst = max(worst, float(np.max(np.abs(lhs - B[j]))))
+    return worst

@@ -56,8 +56,8 @@ def common_degree(t1, t2):
 
 
 def test_gcd_lcm_monomials():
-    z2 = BlaschkeProduct.monomial(2)
-    z3 = BlaschkeProduct.monomial(3)
+    z2 = BlaschkeProduct(1.0, [(0.0, 2)])
+    z3 = BlaschkeProduct(1.0, [(0.0, 3)])
     l = lcm(z2, z3)
     assert common_degree(z2, z3) == 2 and l.degree() == 3
     assert divides(z2, l) and divides(z3, l)
@@ -93,8 +93,8 @@ def test_lcm_keeps_the_first_center_of_near_coincident_zeros():
 
 
 def test_divides():
-    z1 = BlaschkeProduct.monomial(1)
-    z2 = BlaschkeProduct.monomial(2)
+    z1 = BlaschkeProduct(1.0, [(0.0, 1)])
+    z2 = BlaschkeProduct(1.0, [(0.0, 2)])
     assert divides(z1, z2)
     assert not divides(z2, z1)
 
@@ -172,7 +172,7 @@ def test_coprime_check_identity_and_rank_deficient():
 def test_coprime_check_rational_grid():
     B = [[RationalFn([1.0]), RationalFn([0.0, 1.0])],
          [RationalFn([0.0]), RationalFn([1.0])]]
-    ok, _ = coprime_matrix_check(_at_zeros(B, BlaschkeProduct.monomial(2)))
+    ok, _ = coprime_matrix_check(_at_zeros(B, BlaschkeProduct(1.0, [(0.0, 2)])))
     assert ok
 
 

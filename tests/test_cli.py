@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from blocktoeplitz.cli import ExprError, build_parser, main, parse_scalar_symbol
-from blocktoeplitz.symbols import Symbol
 
 
 def test_parse_simple_terms():
@@ -131,10 +130,14 @@ def test_input_error_exit(capsys):
     (["check-hyponormal"], '{"n": 1, "coeffs": [{"deg": 1, "matrix": [[[1, 0]]]}, '
                            '{"deg": 1, "matrix": [[[2, 0]]]}]}'),
     (["check-hyponormal"], '{"n": 1, "coeffs": [{"deg": 1, "matrix": [[[1, 0, 5]]]}]}'),
+    (["check-hyponormal"], '{"n": 0, "coeffs": []}'),
+    (["suite", "classifier-harness", "--cases=0"], None),
+    (["suite", "classifier-harness", "--cases=-3"], None),
 ], ids=["file-without-n", "file-matrix-not-a-list", "zeros-not-a-list", "zeros-nested",
         "zeros-object", "zeros-string", "zeros-digit-string",
         "zeros-in-disk-digit-string", "file-deg-float", "file-deg-string",
-        "file-deg-bool", "file-n-float", "file-deg-repeated", "file-entry-three-values"])
+        "file-deg-bool", "file-n-float", "file-deg-repeated", "file-entry-three-values",
+        "file-n-zero", "suite-cases-zero", "suite-cases-negative"])
 def test_malformed_input_is_an_input_error(argv, symbol_file, tmp_path, capsys):
     if symbol_file is not None:
         path = tmp_path / "symbol.json"

@@ -5,34 +5,79 @@ from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "blocktoeplitz"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _defined_names(node):
+    """The names a module-level statement defines: a function, a class or assigned names."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [t.id for t in targets if isinstance(t, ast.Name)]
+    return []
 
 
 def _private_definitions(tree):
     """Module-level functions, classes and constants named with one leading underscore."""
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            names = [node.name]
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            names = [t.id for t in targets if isinstance(t, ast.Name)]
-        else:
-            continue
-        yield from (n for n in names if n.startswith("_") and not n.startswith("__"))
+        yield from (n for n in _defined_names(node) if n.startswith("_") and not n.startswith("__"))
+
+
+def _public_definitions(tree):
+    """(name, node) of each public module-level function, class and UPPER_CASE constant, and
+    of each public method of a module-level class (as `Class.method`); dunders are exempt."""
+    for node in tree.body:
+        constant = isinstance(node, (ast.Assign, ast.AnnAssign))
+        yield from ((n, node) for n in _defined_names(node)
+                    if not n.startswith("_") and (n.isupper() or not constant))
+        for fn in node.body if isinstance(node, ast.ClassDef) else []:
+            if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_"):
+                yield f"{node.name}.{fn.name}", fn
+
+
+def _references(tree, strings=False):
+    """How often each name is read (`name` or `x.name`) in the tree; with `strings`, string
+    constants count too, a dotted one such as "operators.hankel_window" by its last part."""
+    uses = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            uses[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            uses[node.attr] += 1
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            uses[node.value.rsplit(".", 1)[-1]] += 1
+    return uses
 
 
 def test_every_private_helper_is_referenced():
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     uses = Counter()
     for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                uses[node.id] += 1
-            elif isinstance(node, ast.Attribute):
-                uses[node.attr] += 1
+        uses.update(_references(tree))
     dead = [(module, name) for module, tree in trees.items()
             for name in _private_definitions(tree) if not uses[name]]
     assert len(trees) > 1
     assert dead == []
+
+
+def test_every_public_name_has_a_caller():
+    # the package's API is what the decision routes, the CLI and the benchmark call;
+    # a public name that only tests reach belongs in tests/reference.py, or nowhere
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    uses = Counter()
+    for tree in trees.values():
+        uses.update(_references(tree))
+    for path in sorted(BENCH.glob("*.py")):
+        uses.update(_references(ast.parse(path.read_text()), strings=True))
+    unused = []
+    for module, tree in trees.items():
+        for qualname, node in _public_definitions(tree):
+            name = qualname.rsplit(".", 1)[-1]
+            if uses[name] <= _references(node)[name]:  # only its own definition reads it
+                unused.append(f"{module}.{qualname}")
+    assert len(trees) > 1
+    assert unused == []
 
 
 DECISION_MODULES = ("decide", "operators", "modelspace", "blaschke", "rational", "symbols")
