@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rational import RationalFn, mul_ascending, poly_from_roots
+from .rational import RationalFn, poly_from_roots, reflected_product
 
 MATCH_TOL = 1e-9
 COPRIME_CUTOFF = 1e-9
@@ -36,7 +36,7 @@ class BlaschkeProduct:
         for a, m in self.zeros:
             a = complex(a)
             m = int(m)
-            if abs(a) >= 1.0:
+            if not abs(a) < 1.0:  # a NaN zero fails this too
                 raise ValueError(f"Blaschke zero outside the open disk: {a}")
             if m < 1:
                 raise ValueError("multiplicity must be >= 1")
@@ -76,11 +76,7 @@ class BlaschkeProduct:
     def as_rational(self) -> RationalFn:
         """The quotient u prod (z - a) / prod (1 - conj(a) z) over the zeros with multiplicity."""
         roots = self.zero_list()
-        num = poly_from_roots(roots, lead=self.unimodular)
-        den = np.array([1.0 + 0j])
-        for a in roots:
-            den = mul_ascending(den, np.array([1.0, -np.conj(a)]))
-        return RationalFn(num, den)
+        return RationalFn(poly_from_roots(roots, lead=self.unimodular), reflected_product(roots))
 
     # -- multiset arithmetic ---------------------------------------------------
     def __mul__(self, other):
@@ -154,11 +150,7 @@ def coanalytic_decompose(f: RationalFn) -> tuple[BlaschkeProduct, RationalFn]:
     theta = BlaschkeProduct(1.0, clusters)
     # With den(z) = lead * prod (z - g), theta/den = 1/(lead * prod (1 - conj(g) z)),
     # so b = refl * theta has the closed form below; no inexact cancellation.
-    bden = np.array([1.0 + 0.0j])
-    for g, m in clusters:
-        for _ in range(m):
-            bden = mul_ascending(bden, np.array([1.0, -np.conj(g)]))
-    b = RationalFn(refl.num / lead, bden)
+    b = RationalFn(refl.num / lead, reflected_product(theta.zero_list()))
     for g, _ in clusters:
         if abs(b(g)) <= 1e-12:
             raise ValueError("coprimality reduction failure: common interior root survived")

@@ -253,10 +253,15 @@ _SUITES = {
 
 def _suite(args):
     run, default, header = _SUITES[args.name]
-    cases = default if args.cases is None else args.cases  # only a missing flag means the default
-    if cases is not None and cases < 1:
-        raise ExprError(f"--cases must be at least 1, not {cases}")
-    rows, ok = run() if default is None else run(cases=cases, seed=args.seed)
+    if default is None:  # a fixed grid: a count or a seed would name a sweep that does not run
+        if args.cases is not None or args.seed is not None:
+            raise ExprError(f"suite {args.name} takes no --cases or --seed")
+        rows, ok = run()
+    else:
+        cases = default if args.cases is None else args.cases  # only a missing flag means the default
+        if cases < 1:
+            raise ExprError(f"--cases must be at least 1, not {cases}")
+        rows, ok = run(cases=cases, seed=0 if args.seed is None else args.seed)
     _write(_csv([header, *rows]), args)
     return EXIT_DECIDED if ok else EXIT_UNDECIDED
 
@@ -265,6 +270,8 @@ def _export_model(args):
     zeros = json.loads(args.zeros)
     if not isinstance(zeros, list):
         raise ExprError(f"--zeros must be a JSON list, not {type(zeros).__name__}")
+    if any(isinstance(x, bool) for x in zeros):
+        raise ExprError(f"--zeros entries must be numbers or complex strings, not booleans: {zeros}")
     try:
         zeros = [complex(x) for x in zeros]
     except (TypeError, ValueError) as e:
@@ -366,7 +373,7 @@ def build_parser():
     sp = sub.add_parser("suite", help="randomized/cross-validation sweeps")
     sp.add_argument("name", choices=list(_SUITES))
     sp.add_argument("--cases", type=int)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=int)
     sp.add_argument("--out")
     sp.set_defaults(func=_suite)
 

@@ -10,7 +10,10 @@ grid starts at GRID_START points and doubles up to the constant GRID_CAP.
 The interpolation solver works node by node on the block lower-triangular
 jet systems sum_l K_l A_{j-l} = B_j: forward substitution when A_0 is
 invertible, else least squares on the row-major vec of the K_l, where
-vec(K A) = (I kron A^T) vec(K).
+vec(K A) = (I kron A^T) vec(K).  The interpolant's coefficients then
+come from one confluent Vandermonde solve, whose rows are the Taylor
+coefficients of the monomials at each node by `rational._taylor_shift`,
+the rule that computes the data's jets.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .blaschke import BlaschkeProduct
-from .rational import RationalFn, mul_ascending, poly_from_roots
+from .rational import RationalFn, _taylor_shift, poly_from_roots, reflected_product
 from .symbols import Symbol
 
 GRID_START = 512
@@ -36,7 +39,7 @@ def build_M(zeros) -> np.ndarray:
     """
     zeros = [complex(a) for a in zeros]
     for a in zeros:
-        if abs(a) >= 1.0:
+        if not abs(a) < 1.0:  # a NaN zero fails this too
             raise ValueError(f"model zero outside the open disk: {a}")
     d = len(zeros)
     q = np.array([np.sqrt(1.0 - abs(a) ** 2) for a in zeros])
@@ -63,11 +66,7 @@ def tm_basis(theta: BlaschkeProduct):
     out = []
     for j, a in enumerate(zeros):
         qj = np.sqrt(1.0 - abs(a) ** 2)
-        num = poly_from_roots(zeros[:j], lead=qj)
-        den = np.array([1.0 + 0.0j])
-        for b in zeros[: j + 1]:
-            den = mul_ascending(den, np.array([1.0, -np.conj(b)]))
-        out.append(RationalFn(num, den))
+        out.append(RationalFn(poly_from_roots(zeros[:j], lead=qj), reflected_product(zeros[: j + 1])))
     return out
 
 
@@ -144,19 +143,25 @@ def hermite_fejer_solve(nodes, A_data, B_data):
     and flags the node (the caller must verify membership explicitly).  An
     inconsistent singular system raises InterpolationInconsistent.
 
-    Returns (K, least-squares node indices): K is the matrix polynomial of
-    degree <= d-1 with the solved jets at every node.
+    The coefficients of K = sum_{k<d} K_k z^k (d = sum m_i) then solve one
+    confluent Vandermonde system sum_k V[(i, j), k] K_k = K_{i,j}, where
+    V[(i, j), k] = binom(k, j) alpha_i^{k-j} is the j-th Taylor coefficient
+    of z^k at alpha_i, so K has the solved jets at every node.
+
+    Returns (K, least-squares node indices).
     """
     nodes = [(complex(a), int(m)) for a, m in nodes]
     n = np.shape(A_data[0])[-1]
-    Kdata = []
+    d = sum(m for _, m in nodes)
+    jets = []
     lsq_nodes = []
     for i, ((alpha, _), A, B) in enumerate(zip(nodes, A_data, B_data)):
         Ks, lsq = solve_node(alpha, np.asarray(A, dtype=complex), np.asarray(B, dtype=complex), n)
         if lsq:
             lsq_nodes.append(i)
-        Kdata.append(Ks)
-    return _assemble_interpolant(nodes, Kdata, n), lsq_nodes
+        jets.extend(Ks)
+    V = np.vstack([np.array([_taylor_shift(e, alpha)[:m] for e in np.eye(d)]).T for alpha, m in nodes])
+    return Symbol.from_coeffs(0, np.linalg.solve(V, np.reshape(jets, (d, n * n))).reshape(d, n, n)), lsq_nodes
 
 
 def solve_node(alpha, A, B, n):
@@ -198,51 +203,3 @@ def _solve_node_lsq(A, B, n):
     residual = float(np.linalg.norm(G @ x - rhs))
     Ks = [x[l * n * n : (l + 1) * n * n].reshape(n, n) for l in range(m)]
     return Ks, residual
-
-
-def _assemble_interpolant(nodes, Kdata, n):
-    """Build the degree <= d-1 matrix polynomial from per-node jets.
-
-    Standard osculating construction: per node i a polynomial weight
-    p_i(z) = prod_{k != i} ((z - a_k)/(a_i - a_k))^{m_k}, corrected jet
-    coefficients K'_{i,j} = K_{i,j} - sum_{k<j} K'_{i,k} p_i^{(j-k)}(a_i)/(j-k)!.
-    """
-    d = sum(m for _, m in nodes)
-    acc = np.zeros((d, n, n), dtype=complex)  # ascending matrix coefficients
-    for i, (alpha, m) in enumerate(nodes):
-        # p_i as ascending scalar coefficients
-        p = np.array([1.0 + 0.0j])
-        for k, (beta, mk) in enumerate(nodes):
-            if k == i:
-                continue
-            factor = np.array([-beta, 1.0]) / (alpha - beta)
-            for _ in range(mk):
-                p = mul_ascending(p, factor)
-        pjets = _scalar_jets(p, alpha, m)
-        Kprime = []
-        for j in range(m):
-            Kp = Kdata[i][j].copy()
-            for k in range(j):
-                Kp -= Kprime[k] * pjets[j - k]
-            Kprime.append(Kp)
-        # term_i(z) = (sum_j K'_{i,j} (z - alpha)^j) * p_i(z)
-        shift_pow = np.array([1.0 + 0.0j])
-        for j in range(m):
-            term = mul_ascending(shift_pow, p)
-            L = min(len(term), d)
-            acc[:L] += Kprime[j] * term[:L, None, None]  # this operand order keeps the loop's bits
-            shift_pow = mul_ascending(shift_pow, np.array([-alpha, 1.0]))
-    return Symbol.from_coeffs(0, acc)
-
-
-def _scalar_jets(p, z0, order):
-    """[p(z0), p'(z0)/1!, ...] for an ascending-coefficient polynomial."""
-    jets = np.zeros(order, dtype=complex)
-    dp = p.copy()
-    fact = 1.0
-    for j in range(order):
-        if j > 0:
-            dp = np.polyder(dp[::-1])[::-1] if len(dp) > 1 else np.zeros(1, complex)
-            fact *= j
-        jets[j] = (np.polyval(dp[::-1], z0) if len(dp) else 0.0) / fact
-    return jets

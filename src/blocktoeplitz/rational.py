@@ -36,6 +36,14 @@ def mul_ascending(a, b):
     return np.convolve(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
+def reflected_product(zeros):
+    """Ascending coefficients of prod (1 - conj(a) z) over `zeros`, multiplied in listed order."""
+    out = np.array([1.0 + 0.0j])
+    for a in zeros:
+        out = mul_ascending(out, np.array([1.0, -np.conj(a)]))
+    return out
+
+
 def polyval_ascending(c, z):
     """Evaluate an ascending-coefficient polynomial at z (scalar or array)."""
     z = np.asarray(z, dtype=complex)

@@ -15,7 +15,7 @@ from . import blaschke as bl
 from . import decide as dc
 from . import modelspace as ms
 from . import operators as op
-from .rational import RationalFn, mul_ascending
+from .rational import RationalFn, reflected_product
 from .symbols import Symbol, RationalSymbol
 
 
@@ -196,9 +196,7 @@ def random_coprime_rational_symbol(rng, n=2, max_deg=2, max_tries=50):
         # D the inner denominator, which equals theta * conj(p_ij/D)
         theta = random_blaschke(rng, max_degree=2, rad=0.6)
         d = theta.degree()
-        D = np.array([1.0 + 0.0j])
-        for a in theta.zero_list():
-            D = mul_ascending(D, np.array([1.0, -np.conj(a)]))
+        D = reflected_product(theta.zero_list())
         minus = [[None] * n for _ in range(n)]
         for i in range(n):
             for j in range(n):

@@ -198,6 +198,8 @@ class Symbol:
                 raise ValueError(f"degree {deg} is given twice")
             if any(len(v) != 2 for row in item["matrix"] for v in row):
                 raise ValueError(f"an entry of degree {deg} is not an [re, im] pair")
+            if any(isinstance(x, bool) for row in item["matrix"] for v in row for x in v):
+                raise ValueError(f"an entry of degree {deg} has a boolean part, not a number")
             coeffs[deg] = np.array([[complex(v[0], v[1]) for v in row] for row in item["matrix"]],
                                    dtype=complex)
         return cls(n, coeffs)

@@ -47,6 +47,8 @@ def test_rejects_bad_zero():
     with pytest.raises(ValueError):
         BlaschkeProduct(1.0, [(1.2, 1)])
     with pytest.raises(ValueError):
+        BlaschkeProduct(1.0, [(complex("nan"), 1)])
+    with pytest.raises(ValueError):
         BlaschkeProduct(2.0, [])
 
 

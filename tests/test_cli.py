@@ -133,11 +133,17 @@ def test_input_error_exit(capsys):
     (["check-hyponormal"], '{"n": 0, "coeffs": []}'),
     (["suite", "classifier-harness", "--cases=0"], None),
     (["suite", "classifier-harness", "--cases=-3"], None),
+    (["suite", "completion-grid", "--cases", "3", "--seed", "9"], None),
+    (["suite", "completion-grid", "--seed", "0"], None),
+    (["export", "model", "--zeros", "[NaN]"], None),
+    (["export", "model", "--zeros", "[false, 0.5]"], None),
+    (["check-hyponormal"], '{"n": 1, "coeffs": [{"deg": 1, "matrix": [[[true, false]]]}]}'),
 ], ids=["file-without-n", "file-matrix-not-a-list", "zeros-not-a-list", "zeros-nested",
         "zeros-object", "zeros-string", "zeros-digit-string",
         "zeros-in-disk-digit-string", "file-deg-float", "file-deg-string",
         "file-deg-bool", "file-n-float", "file-deg-repeated", "file-entry-three-values",
-        "file-n-zero", "suite-cases-zero", "suite-cases-negative"])
+        "file-n-zero", "suite-cases-zero", "suite-cases-negative", "suite-grid-cases-seed",
+        "suite-grid-seed", "zeros-nan", "zeros-bool", "file-entry-bool"])
 def test_malformed_input_is_an_input_error(argv, symbol_file, tmp_path, capsys):
     if symbol_file is not None:
         path = tmp_path / "symbol.json"

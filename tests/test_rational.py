@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from blocktoeplitz.rational import RationalFn, mul_ascending, poly_from_roots
+from blocktoeplitz.rational import RationalFn, mul_ascending, poly_from_roots, polyval_ascending, reflected_product
 
 
 def cauchy_jets(f, z0, order, radius=0.3, grid=4096):
@@ -136,6 +136,16 @@ def test_mul_ascending_is_the_cauchy_product():
             for j in range(lb):
                 want[i + j] += a[i] * b[j]
         np.testing.assert_allclose(mul_ascending(a, b), want, rtol=0, atol=1e-13)
+
+
+def test_reflected_product_is_the_product_of_the_reflected_factors():
+    rng = np.random.default_rng(14)
+    z = np.exp(2j * np.pi * rng.random(5))
+    for d in range(5):
+        zeros = list(rng.normal(size=d) + 1j * rng.normal(size=d))
+        want = np.prod([1.0 - np.conj(a) * z for a in zeros], axis=0)
+        np.testing.assert_allclose(polyval_ascending(reflected_product(zeros), z), want, atol=1e-12)
+        assert len(reflected_product(zeros)) == d + 1
 
 
 def test_common_root_cancels_to_degree_one_over_one():
