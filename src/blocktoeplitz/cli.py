@@ -301,6 +301,15 @@ def _export_eig_sweep(args):
     return max(map(_exit_for, payloads))
 
 
+def _checked_tolerances(args):
+    """The parsed args, once each --tol-* value among them is finite and non-negative."""
+    for name in ("tol_contract", "tol_psd"):
+        tol = getattr(args, name, 0.0)
+        if not 0.0 <= tol < np.inf:
+            raise ExprError(f"--{name.replace('_', '-')} must be a finite non-negative number, not {tol}")
+    return args
+
+
 class _Parser(argparse.ArgumentParser):
     """Matches flags in full: `--win` is an unknown flag, not `--window`.
 
@@ -412,7 +421,7 @@ def main(argv=None):
         # --help exits 0; argparse's usage-error code 2 would read as "undecided" here
         return EXIT_INPUT if e.code else EXIT_DECIDED
     try:
-        return args.func(args)
+        return args.func(_checked_tolerances(args))
     except (ArithmeticError, np.linalg.LinAlgError) as e:
         # quadrature or a solver failed: undecided, not an input error
         # (LinAlgError subclasses ValueError, so it must be caught first)

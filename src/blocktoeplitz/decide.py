@@ -27,7 +27,6 @@ CONTRACT_TOL = 1e-9
 MARGINAL_TOL = 1e-6
 RANK_TOL = 1e-8
 MEMBERSHIP_TOL = 1e-9
-KERNEL_RANK_TOL = 1e-9
 NORMAL_TOL = 1e-9  # the exact self-commutator vanishes when no entry exceeds this
 
 
@@ -131,23 +130,6 @@ def _coanalytic_coprime(R):
     return (theta_minus, *bl.coprime_matrix_check(_at_zeros(B, theta_minus)))
 
 
-def kernel_inclusion_holds(phi_sym: Symbol):
-    """Numeric test that the analytic-side Hankel kernel sits inside the
-    co-analytic one, via column-space comparison of the adjoint windows."""
-    plus, minus = phi_sym.split()
-    m, N = phi_sym.degree_bounds()
-    W = max(m, N, 1) + 1
-    Hp = op.hankel_window(plus.star(), W).block
-    Hm = op.hankel_window(minus.star(), W).block
-    HpA = Hp.conj().T
-    HmA = Hm.conj().T
-    s = np.linalg.svd(HpA, compute_uv=False)  # gives both ||HpA||_2 and the rank of HpA
-    scale = max(s.max(initial=0), np.linalg.norm(HmA, 2), 1.0)
-    r1 = np.count_nonzero(s > KERNEL_RANK_TOL * scale)
-    r2 = np.linalg.matrix_rank(np.hstack([HpA, HmA]), tol=KERNEL_RANK_TOL * scale)
-    return r2 == r1
-
-
 def verify_in_C(phi: Symbol, K: Symbol):
     """Membership of K in the candidate set: Phi - K Phi* is analytic.
 
@@ -248,8 +230,8 @@ def decide_hyponormal(phi, contract_tol=CONTRACT_TOL) -> Verdict:
     A trigonometric polynomial (`Symbol`) is decided on its coefficient
     stack at the nilpotent shift model, a `RationalSymbol` through its
     Blaschke factorization.  Order of gates, on both routes: symbol
-    normality, inner divisibility (plus the numeric kernel-inclusion test
-    for matrix symbols), solvability of the node systems, candidate
+    normality, inner divisibility, solvability of the node systems (an
+    inconsistent one certifies an empty candidate set), candidate
     membership, contractivity of the interpolant at the shift model.  A
     sigma_max within 1 + contract_tol certifies Hyponormal with the
     defect matrix and its rank above RANK_TOL.  A sigma_max within 1 +
@@ -272,8 +254,6 @@ def _decide_hyponormal(route, contract_tol=CONTRACT_TOL) -> Verdict:
         d = route.factor()
     except DivisibilityError as e:
         return Verdict("NotHyponormal", notes=[str(e)])
-    if S.n > 1 and not kernel_inclusion_holds(S):
-        return Verdict("NotHyponormal", notes=["candidate set is empty (kernel inclusion fails)"])
     if d == 0:
         # constant-inner symbol: the operator is a (shifted) analytic/constant one
         return Verdict("Hyponormal", sigma_max=0.0, defect=np.zeros((0, 0)), rank_defect=0,
@@ -353,7 +333,7 @@ def classify_normal_or_analytic(phi) -> Verdict:
     if marginal:
         notes.append("coprimality is marginal near the cutoff")
     S = route.S
-    if commutator_max_entry(S)[1]:
+    if is_normal_symbol(S) and commutator_max_entry(S)[1]:  # T_S normal needs S normal
         return Verdict("Normal", notes=notes)
     hypo = _decide_hyponormal(route)
     if hypo.tag == "Hyponormal":
@@ -366,20 +346,6 @@ def classify_normal_or_analytic(phi) -> Verdict:
 
 
 # -- completion problems -------------------------------------------------------
-
-
-def _unimodular_ratio(psi: Symbol, phi: Symbol, tol):
-    """u with psi = u*phi, |u| = 1, or None."""
-    lo, hi = min(phi.lo, psi.lo), max(phi.hi, psi.hi)
-    a, b = phi.coeffs(lo, hi)[:, 0, 0], psi.coeffs(lo, hi)[:, 0, 0]
-    big_a, big_b = np.abs(a) > tol, np.abs(b) > tol
-    if np.any(big_a != big_b):
-        return None
-    r = b[big_a] / a[big_a]
-    u = r[0] if len(r) else 1.0 + 0.0j
-    if np.any(np.abs(r - u) > 10 * tol) or abs(abs(u) - 1.0) > 10 * tol:
-        return None
-    return u
 
 
 def _corner_symbol(phi: Symbol, psi: Symbol, d00, d11) -> Symbol:
@@ -400,10 +366,11 @@ def double_conjugate_shift_symbol(phi: Symbol, psi: Symbol) -> Symbol:
 def complete_ustar(phi: Symbol, psi: Symbol, window=24) -> Verdict:
     """Membership of (phi, psi) in the two normal-completion families.
 
-    Family 1: phi = u z + beta with |u| = 1 and psi a unimodular multiple
-    of phi.  Family 2: phi = alpha zbar + c z + beta with |c|^2 = 1 +
-    |alpha|^2 and psi = exp(i(pi - 2 arg alpha)) phi.  Members give a
-    normal completion (exact self-commutator vanishes); non-members are
+    Both families are phi = alpha zbar + c z + beta with |c|^2 = 1 +
+    |alpha|^2 and psi = omega phi with |omega| = 1, each equation held to
+    1e-9 coefficientwise.  Family 1 has alpha = 0 and any such omega;
+    family 2 has omega = exp(i(pi - 2 arg alpha)).  Members give a normal
+    completion (exact self-commutator vanishes); non-members are
     cross-checked against the k = 2 window test, which must fail.
     """
     if phi.n != 1 or psi.n != 1:
@@ -427,23 +394,17 @@ def complete_ustar(phi: Symbol, psi: Symbol, window=24) -> Verdict:
 
 
 def _family_membership(phi: Symbol, psi: Symbol, tol):
+    """(member, family) by the one rule of `complete_ustar`; family 1 reads omega as psi_1 / c."""
     if phi.lo < -1 or phi.hi > 1:
         return False, None
-    cm1 = phi.scalar_coeff(-1)
-    c1 = phi.scalar_coeff(1)
-    if abs(cm1) < 1e-6:
-        # analytic family: unimodular coefficient at z, psi a unimodular multiple
-        if abs(abs(c1) - 1.0) > tol:
-            return False, None
-        u = _unimodular_ratio(psi, phi, tol)
-        return (u is not None), 1
-    if abs(abs(c1) - np.sqrt(1.0 + abs(cm1) ** 2)) > tol:
+    alpha, c = phi.scalar_coeff(-1), phi.scalar_coeff(1)
+    if abs(abs(c) - np.sqrt(1.0 + abs(alpha) ** 2)) > tol:
         return False, None
-    omega = np.exp(1j * (np.pi - 2.0 * np.angle(cm1)))
-    diff = psi - phi * omega
-    if diff.is_zero(tol):
-        return True, 2
-    return False, None
+    family = 1 if abs(alpha) < 1e-6 else 2
+    omega = psi.scalar_coeff(1) / c if family == 1 else np.exp(1j * (np.pi - 2.0 * np.angle(alpha)))
+    if abs(abs(omega) - 1.0) > tol or not (psi - phi * omega).is_zero(tol):
+        return False, None
+    return True, family
 
 
 def no_hypo_completion_shift_pair(phi: Symbol, psi: Symbol, window=16) -> Verdict:

@@ -23,9 +23,9 @@ def _fmt_complex(v):
     return f"{v.real:+.6g}{v.imag:+.6g}i"
 
 
-def random_scalar_trig(rng, max_deg=4, min_deg=1):
+def random_scalar_trig(rng, max_deg):
     """Random scalar trigonometric polynomial with complex Gaussian coefficients."""
-    N = int(rng.integers(min_deg, max_deg + 1))
+    N = int(rng.integers(1, max_deg + 1))
     m = int(rng.integers(0, N + 1))  # keep co-analytic degree <= analytic degree half the time
     if rng.random() < 0.35:
         m = int(rng.integers(0, max_deg + 1))  # allow divisibility failures too
@@ -49,13 +49,13 @@ def scalar_symbol_str(phi: Symbol):
     return " ".join(parts) if parts else "0"
 
 
-def oracle_equivalence(cases=200, seed=0, max_deg=4):
+def oracle_equivalence(cases, seed):
     """decide_hyponormal vs the sign of the exact self-commutator minimum."""
     rng = np.random.default_rng(seed)
     rows = []
     ok = True
     for c in range(cases):
-        phi = random_scalar_trig(rng, max_deg=max_deg)
+        phi = random_scalar_trig(rng, max_deg=4)
         verdict = dc.decide_hyponormal(phi)
         com = op.selfcommutator_exact(phi)
         rep = op.positivity_report(com.block, com.window, exact=com.exact)
@@ -89,7 +89,7 @@ def random_analytic_poly_symbol(rng, n, deg):
     return Symbol(n, coeffs)
 
 
-def model_identity(cases=100, seed=0, tol=1e-8):
+def model_identity(cases, seed):
     """Closed-form functional calculus vs quadrature compression."""
     rng = np.random.default_rng(seed)
     rows = []
@@ -103,7 +103,7 @@ def model_identity(cases=100, seed=0, tol=1e-8):
         lhs = ms.poly_of_M(P, model)
         rhs = ms.compression_oracle(P, theta)
         dev = float(np.max(np.abs(lhs - rhs)))
-        good = dev <= tol
+        good = dev <= 1e-8
         ok = ok and good
         rows.append([c, n, theta.degree(), degP, f"{dev:.3e}", good])
     return rows, ok
@@ -167,14 +167,15 @@ def nonfamily_pair(rng):
     return phi, psi
 
 
-def random_coprime_rational_symbol(rng, n=2, max_deg=2, max_tries=50):
-    """Random rational symbol whose co-analytic part is certified coprime.
+def random_coprime_rational_symbol(rng):
+    """Random 2 x 2 rational symbol whose co-analytic part is certified coprime.
 
     Draws mix purely analytic symbols, normal-by-construction symbols
     (diagonal g*beta + conj(g*beta) blocks), and generic ones; generic
     draws are re-sampled until the matrix coprimality certificate passes,
     so the classifier hypothesis holds for every emitted case.
     """
+    n, max_deg = 2, 2
     kind = rng.integers(0, 4)
     if kind == 0:
         plus = [[_random_analytic_fn(rng, max_deg) for _ in range(n)] for _ in range(n)]
@@ -190,7 +191,7 @@ def random_coprime_rational_symbol(rng, n=2, max_deg=2, max_tries=50):
             plus[i][i] = g * beta
             minus[i][i] = g * beta
         return RationalSymbol(n, plus, minus)
-    for _ in range(max_tries):
+    for _ in range(50):
         # all entries share one inner product so the outer matrix can be
         # invertible at its zeros: entry f_ij = z^(d-deg p) p*_ij / D with
         # D the inner denominator, which equals theta * conj(p_ij/D)
@@ -226,7 +227,7 @@ def _random_analytic_fn(rng, max_deg, force_zero_constant=False):
 
 
 
-def classifier_harness(cases=100, seed=0):
+def classifier_harness(cases, seed):
     """Zero tolerance for classification contradictions on random symbols."""
     rng = np.random.default_rng(seed)
     rows = []

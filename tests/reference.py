@@ -8,6 +8,7 @@ from math import comb
 
 import numpy as np
 
+from blocktoeplitz.operators import hankel_window
 from blocktoeplitz.symbols import Symbol
 
 
@@ -72,3 +73,19 @@ def interpolation_residual(K: Symbol, nodes, A_data, B_data):
             lhs = sum(jets[l] @ A[j - l] for l in range(j + 1))
             worst = max(worst, float(np.max(np.abs(lhs - B[j]))))
     return worst
+
+
+def kernel_inclusion_holds(phi: Symbol, tol=1e-9):
+    """ker H_{Phi_+^*} inside ker H_{Phi_-^*}, by column spaces of the adjoint Hankel windows.
+
+    A necessary condition for a nonempty candidate set (Gu-Hendricks-Rutherford
+    2006): the ranks of H_+^* and [H_+^*, H_-^*] must agree, both counted above
+    tol times the larger window norm (at least 1).
+    """
+    plus, minus = phi.split()
+    W = max(*phi.degree_bounds(), 1) + 1
+    HpA = hankel_window(plus.star(), W).block.conj().T
+    HmA = hankel_window(minus.star(), W).block.conj().T
+    scale = max(np.linalg.norm(HpA, 2), np.linalg.norm(HmA, 2), 1.0)
+    r1 = np.linalg.matrix_rank(HpA, tol=tol * scale)
+    return np.linalg.matrix_rank(np.hstack([HpA, HmA]), tol=tol * scale) == r1

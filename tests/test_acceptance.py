@@ -62,7 +62,7 @@ def test_criterion_2_membership_cross_check():
 
 def test_criterion_3_model_identity_sweep():
     t0 = time.monotonic()
-    rows, ok = suites.model_identity(cases=100, seed=0, tol=1e-8)
+    rows, ok = suites.model_identity(cases=100, seed=0)
     assert ok
     worst = max(float(r[4]) for r in rows)
     elapsed = time.monotonic() - t0
@@ -137,7 +137,7 @@ def test_criterion_7_no_hyponormal_completion():
 
 def test_criterion_8_oracle_equivalence():
     t0 = time.monotonic()
-    rows, ok = suites.oracle_equivalence(cases=200, seed=0, max_deg=4)
+    rows, ok = suites.oracle_equivalence(cases=200, seed=0)
     assert ok, "pipeline disagrees with the exact self-commutator oracle"
     elapsed = time.monotonic() - t0
     assert elapsed < 120.0

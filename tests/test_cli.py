@@ -138,12 +138,19 @@ def test_input_error_exit(capsys):
     (["export", "model", "--zeros", "[NaN]"], None),
     (["export", "model", "--zeros", "[false, 0.5]"], None),
     (["check-hyponormal"], '{"n": 1, "coeffs": [{"deg": 1, "matrix": [[[true, false]]]}]}'),
+    (["check-hyponormal", "--phi", "2zbar+z", "--tol-contract=inf"], None),
+    (["check-hyponormal", "--phi", "zbar+2z", "--tol-contract=nan"], None),
+    (["check-hyponormal", "--phi", "zbar+2z", "--tol-contract=-1"], None),
+    (["check-k", "--phi", "zbar^2 + 2zbar + z + 2z^2", "--k", "1", "--window", "12",
+      "--tol-psd=nan"], None),
+    (["check-square", "--phi", "zbar+2z", "--tol-psd=-inf"], None),
 ], ids=["file-without-n", "file-matrix-not-a-list", "zeros-not-a-list", "zeros-nested",
         "zeros-object", "zeros-string", "zeros-digit-string",
         "zeros-in-disk-digit-string", "file-deg-float", "file-deg-string",
         "file-deg-bool", "file-n-float", "file-deg-repeated", "file-entry-three-values",
         "file-n-zero", "suite-cases-zero", "suite-cases-negative", "suite-grid-cases-seed",
-        "suite-grid-seed", "zeros-nan", "zeros-bool", "file-entry-bool"])
+        "suite-grid-seed", "zeros-nan", "zeros-bool", "file-entry-bool", "tol-contract-inf",
+        "tol-contract-nan", "tol-contract-negative", "tol-psd-nan", "tol-psd-negative-inf"])
 def test_malformed_input_is_an_input_error(argv, symbol_file, tmp_path, capsys):
     if symbol_file is not None:
         path = tmp_path / "symbol.json"

@@ -17,7 +17,7 @@ from blocktoeplitz.decide import (
 )
 from blocktoeplitz.rational import RationalFn
 from blocktoeplitz.symbols import Symbol, RationalSymbol
-from reference import sup_norm
+from reference import kernel_inclusion_holds, sup_norm
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 E11 = np.array([[1, 0], [0, 0]], dtype=complex)
@@ -170,6 +170,24 @@ def test_complete_ustar_families():
     psi = Symbol.scalar({-1: -1, 1: -np.sqrt(2)})
     v = complete_ustar(phi, psi)
     assert v.tag == "Normal" and v.family == 2
+
+
+@pytest.mark.parametrize("phi, psi", [
+    ({1: 1}, {1: 2}),  # psi = 2 phi: |omega| = 2
+    ({1: 1}, {1: 1, 0: 1}),  # |omega| = 1 but psi != omega phi
+    ({-1: 1, 1: np.sqrt(2)}, {-1: 1, 1: np.sqrt(2)}),  # family 2 shape, omega = 1 instead of -1
+], ids=["omega-not-unimodular", "psi-not-a-multiple", "family-2-wrong-phase"])
+def test_complete_ustar_family_rule_rejects(phi, psi):
+    v = complete_ustar(Symbol.scalar(phi), Symbol.scalar(psi), window=16)
+    assert (v.tag, v.family) == ("NotKHyponormal", None), v.notes
+
+
+def test_completions_refuse_matrix_entries():
+    z, big = Symbol.scalar({1: 1}), Symbol(2, {1: np.eye(2)})
+    for complete in (complete_ustar, no_hypo_completion_shift_pair):
+        for phi, psi in ((big, z), (z, big)):
+            with pytest.raises(ValueError, match="completion entries must be scalar symbols"):
+                complete(phi, psi)
 
 
 def test_complete_ustar_family_grid():
@@ -403,7 +421,7 @@ GATE_CASES = {  # name: (symbol, tag, a note the deciding gate writes)
     "expansive": (Symbol.scalar({-1: 2, 1: 1}), "NotHyponormal",
                   "interpolant is expansive at the model"),
     "kernel-inclusion": (Symbol(2, {-1: E22, 1: E11}), "NotHyponormal",
-                         "candidate set is empty (kernel inclusion fails)"),
+                         "candidate set is empty: no interpolant exists at node 0j (residual 1.000e+00)"),
     "matrix-converse": (Symbol(2, {-1: 2 * np.eye(2), 1: np.eye(2)}), "NotHyponormal",
                         "interpolant is expansive; compressed outer factor invertible"),
     "matrix-converse-unavailable": (Symbol(2, {-1: 2 * E11, 1: E11, 2: E22}), "NotHyponormal",
@@ -460,31 +478,15 @@ def test_routes_agree_on_the_scalar_pool():
         _both_routes(_pool_symbol(i))
 
 
-def test_kernel_inclusion_takes_three_svds(monkeypatch):
-    def four_svds(phi, tol=dc.KERNEL_RANK_TOL):
-        # the formula with the norm and the rank of HpA computed apart, as the reference
-        plus, minus = phi.split()
-        W = max(*phi.degree_bounds(), 1) + 1
-        HpA = op.hankel_window(plus.star(), W).block.conj().T
-        HmA = op.hankel_window(minus.star(), W).block.conj().T
-        scale = max(np.linalg.norm(HpA, 2), np.linalg.norm(HmA, 2), 1.0)
-        r1 = np.linalg.matrix_rank(HpA, tol=tol * scale)
-        return np.linalg.matrix_rank(np.hstack([HpA, HmA]), tol=tol * scale) == r1
-
+def test_node_solve_refuses_every_kernel_inclusion_failure():
+    # ker H_{Phi_+^*} inside ker H_{Phi_-^*} is necessary for a nonempty candidate set; where it
+    # fails, divisibility or the node solve must already refuse the symbol
     symbols = [phi for _, phi in _unitary_diagonal_cases()] + [phi for _, phi in _normal_polynomial_cases()]
-    want = [four_svds(phi) for phi in symbols]
-    assert set(want) == {True, False}
-    calls = []
-    svd = np.linalg.svd
-
-    def counting_svd(*args, **kwargs):
-        calls.append(1)
-        return svd(*args, **kwargs)
-
-    # norm and matrix_rank look svd up in numpy's own module
-    monkeypatch.setattr("numpy.linalg._linalg.svd", counting_svd)
-    monkeypatch.setattr(dc.np.linalg, "svd", counting_svd)
-    for phi, w in zip(symbols, want):
-        calls.clear()
-        assert dc.kernel_inclusion_holds(phi) == w
-        assert len(calls) == 3
+    gates = []
+    for phi in symbols:
+        if not kernel_inclusion_holds(phi):
+            v = _both_routes(phi)
+            assert v.tag == "NotHyponormal", v.notes
+            assert v.notes[0].startswith(("inner divisibility fails", "candidate set is empty")), v.notes
+            gates.append(v.notes[0].split(":")[0])
+    assert gates.count("candidate set is empty") == 8 and "inner divisibility fails" in gates

@@ -80,7 +80,7 @@ def test_every_public_name_has_a_caller():
     assert unused == []
 
 
-DECISION_MODULES = ("decide", "operators", "modelspace", "blaschke", "rational", "symbols")
+DEFAULTS_CHECKED_IN = ("decide", "operators", "modelspace", "blaschke", "rational", "symbols", "suites")
 
 
 def _defaulted_parameters(tree):
@@ -134,7 +134,7 @@ def test_every_default_is_passed_somewhere():
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     calls = _calls_by_name(trees.values())
     unset = []
-    for module in DECISION_MODULES:
+    for module in DEFAULTS_CHECKED_IN:
         for name, params in _defaulted_parameters(trees[module]):
             if name not in calls:
                 continue  # not called from the package: tests and reference helpers set these
