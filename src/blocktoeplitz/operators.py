@@ -7,22 +7,22 @@ corresponding block of the infinite operator exactly: products are
 computed on an inflated window and then compressed.  Hankel products
 are formed on the nonzero leading corners of the Hankel windows only.
 
-For a normal symbol the k-hyponormality block matrix and the squared
-self-commutator are supported in a corner of W* = k(bw + m + N) modes
-(k = 2 for the square test), whatever window the caller asks for; see
-`k_hypo_window` for the proof.  Each window test assembles one window,
-at 2V with V = min(W, W*), and reads from it the V-window (its corner)
-and the doubling certificate (the entries outside the corner).  Above
-W* a certified corner is zero-padded to the W-window, witness included.
-Otherwise the symbol is numerically non-normal, no window is exact, and
-the W-window is gathered by index from the 2W*-window: its entries past
-L = k*bw depend only on their distance from the diagonal and vanish
-beyond D = k(m + N).  It is decided in band form, half-bandwidth
-k*n*(D + 1) - 1, with no product or dense eigensolve at W.  A
-self-commutator window below bw is refused with a ValueError, and so is,
-before anything is allocated, any window whose dense assembly would
+For a normal symbol (always for n = 1; for n > 1 when no coefficient of
+Phi* Phi - Phi Phi* exceeds EXACT_TOL) the k-hyponormality block matrix
+and the squared self-commutator are supported in a corner of
+W* = k(bw + m + N) modes (k = 2 for the square test), whatever window
+the caller asks for.  Exactness is read from that rule, and each window
+test assembles one window: the W*-window of a normal symbol, decided
+above W* and read as its W-corner below; for a non-normal symbol, never
+exact, the W-window up to W* and above it the (W* + 1)-window, from
+which the W-window is gathered and decided in band form, with no
+product or dense eigensolve at W.  `k_hypo_window` gives the proofs.
+A self-commutator window below bw is refused with a ValueError, and so
+is, before anything is allocated, any window whose dense assembly would
 exceed MAX_WINDOW_BYTES: self-commutator, k-step, squared (also when
-non-normal) and the normal non-Toeplitz completion.
+non-normal) and the normal non-Toeplitz completion; a normal symbol's
+window below W* whose W*-window would exceed it is decided alone, not
+exact.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .symbols import Symbol
+from .symbols import Symbol, is_normal_symbol
 
 PSD_TOL = 1e-9
 NOT_PSD_TOL = 1e-6
@@ -124,31 +124,31 @@ def _canonical_witness(v):
 def selfcommutator_exact(phi: Symbol, W: int | None = None) -> WindowedOperator:
     """Window of [T*, T] = H_{Phi*}* H_{Phi*} - H_Phi* H_Phi + T_{Phi*Phi - Phi Phi*}.
 
-    At W = m + N + 1 the Hankel quadratic forms are fully inside the
-    window; the Toeplitz term vanishes exactly when the symbol is normal,
-    in which case the window is certified exact by the doubling test.
-    It is assembled once, at 2W: for W >= bw the Hankel corners are the
-    same at W and 2W, so the corner is the W-assembly bit for bit.  A
-    scalar symbol commutes with its adjoint, so its commutator symbol is
-    zero without a product.  A window below bw, or one whose dense
-    assembly would exceed MAX_WINDOW_BYTES, is refused with a ValueError.
+    For W >= bw the Hankel quadratic forms are fully inside the window,
+    so the window is exact when the Toeplitz term vanishes: always for a
+    scalar symbol, which commutes with its adjoint (no product is
+    formed), and for n > 1 when no coefficient of Phi*Phi - Phi Phi*
+    exceeds EXACT_TOL.  It is assembled once, at W.  A window below bw,
+    or one whose dense assembly would exceed MAX_WINDOW_BYTES, is refused
+    with a ValueError.
     """
     m, N = phi.degree_bounds()
     if W is None:
         W = m + N + 1
     if W < max(m, N):
         raise ValueError(f"window {W} too small for bandwidth {max(m, N)}")
-    # the count of a k = 1 window inflated to B = 2W: the Hankel difference and the Toeplitz
-    # window at 2W, then eight of order nW (the corner, temporaries)
-    _refuse_over_budget(phi.n, 1, W, 2 * W)
+    # the count of a k = 1 window at B = W: the Hankel difference and the Toeplitz window,
+    # then eight of order nW (the positivity test's temporaries)
+    _refuse_over_budget(phi.n, 1, W, W)
     star = phi.star()
-    big = _hankel_difference(phi, star, 2 * W)
+    block = _hankel_difference(phi, star, W)
+    exact = True
     if phi.n > 1:  # scalar symbols commute with their adjoint
         delta = star * phi - phi * star
+        exact = delta.is_zero(EXACT_TOL)
         if not delta.is_zero():
-            big += toeplitz_window(delta, 2 * W).block
-    corner, exact = _doubling(big, 1, phi.n * W)
-    return WindowedOperator(W, phi.n, corner, exact=exact)
+            block += toeplitz_window(delta, W).block
+    return WindowedOperator(W, phi.n, block, exact=exact)
 
 
 def _hankel_difference(phi: Symbol, star: Symbol, W: int):
@@ -167,20 +167,15 @@ def _hankel_corner(phi: Symbol, W: int):
     return hankel_window(phi, k).block if k else np.zeros((0, 0), dtype=complex)
 
 
-def _doubling(big, k, nW):
-    """Doubling certificate of a k x k block window, read from its 2W assembly.
-
-    `big` holds the window at 2W, with blocks of order 2nW.  Returns the
-    W-window (the leading nW corners of the blocks, copied) and whether
-    it is exact: every entry of `big` outside those corners is at most
-    EXACT_TOL.
-    """
-    blocks = big.reshape(k, 2 * nW, k, 2 * nW)
+def _corner(window, k, nV, nW):
+    """The leading nW corners of the k x k blocks of order nV, and whether nothing outside them
+    exceeds EXACT_TOL."""
+    blocks = window.reshape(k, nV, k, nV)
     outside = 0.0
     for i in range(k):  # block rows, so no temporary grows with k
         outside = max(outside, float(np.max(np.abs(blocks[i, nW:]))),
                       float(np.max(np.abs(blocks[i, :nW, :, nW:]))))
-    # the returned window must not keep `big` alive
+    # the corner must not keep `window` alive
     return np.ascontiguousarray(blocks[:, :nW, :, :nW].reshape(k * nW, k * nW)), outside <= EXACT_TOL
 
 
@@ -209,17 +204,20 @@ def _power_commutators(phi: Symbol, k: int, W: int):
     return out
 
 
-def _refuse_over_budget(n, k, W, B):
-    """Raise ValueError when a k x k block window of order n*W would exceed MAX_WINDOW_BYTES.
+def _window_bytes(n, k, W, B):
+    """Bytes for a k x k block window of order n*W, from products on the inflated window B.
 
-    The estimate counts 16 bytes per complex entry of the 2k powers of
-    T and T* on the inflated window B and of eight matrices of the
-    result's order k*n*W: its products, its Hermitian part, and the copy
-    and eigenvectors that `eigh` allocates.  A non-normal window above
-    W* is decided in band form without these dense arrays; there the
-    same estimate caps the order to be decided, not the bytes allocated.
+    16 bytes per complex entry of the 2k powers of T and T* on B and of
+    eight matrices of order k*n*W: the products, the Hermitian part, and
+    the copy and eigenvectors that `eigh` allocates.  On the band path
+    the same estimate caps the order to be decided, not the bytes.
     """
-    nbytes = 16 * (2 * k * (n * B) ** 2 + 8 * (k * n * W) ** 2)
+    return 16 * (2 * k * (n * B) ** 2 + 8 * (k * n * W) ** 2)
+
+
+def _refuse_over_budget(n, k, W, B):
+    """Raise ValueError when `_window_bytes` exceeds MAX_WINDOW_BYTES."""
+    nbytes = _window_bytes(n, k, W, B)
     if nbytes > MAX_WINDOW_BYTES:
         raise ValueError(f"window {W} (k={k}, n={n}, dense order {k * n * W}) needs about "
                          f"{nbytes / 2**30:.3g} GiB, over the {MAX_WINDOW_BYTES / 2**30:.3g} GiB budget")
@@ -236,8 +234,8 @@ def k_hypo_window(phi: Symbol, k: int, W: int, psd_tol=PSD_TOL) -> PositivityRep
 
     Block (i, j) holds the W-window of [T^{*j}, T^i].  A NotPSD verdict
     certifies failure of k-hyponormality (compressions of PSD operators
-    are PSD); a PSD verdict is exact only when the doubling test shows
-    the quadratic form is supported inside the window.
+    are PSD); a PSD verdict is exact only when the quadratic form is
+    supported inside the window (see Certificate).
 
     Support corner.  Let Phi have support [-m, N] and bw = max(m, N),
     and write e_b for mode b.  Three facts:
@@ -255,24 +253,21 @@ def k_hypo_window(phi: Symbol, k: int, W: int, psd_tol=PSD_TOL) -> PositivityRep
     (Phi^j)* Phi^i - Phi^i (Phi^j)*, which is zero by (3).  So the entry
     vanishes unless min(a, b) < k*bw and |a - b| <= k(m + N), and every
     block lives in its leading W* = k(bw + m + N) modes.
-    Certificate.  Outside W* the only entries that (2) does not kill
-    have min(a, b) >= k*bw, where they equal those coefficients, constant
-    along each diagonal |a - b| <= k(m + N).  The 2W*-window holds every
-    such diagonal at a mode pair past W*, so a doubling test at
-    (W*, 2W*) bounds them all by EXACT_TOL, normal symbol or not.
-
-    For W <= W* the window is decided by the doubling test at
-    (W, 2W).  Above W*, that test at (W*, 2W*) decides: when it
-    certifies, the W-window is the W* corner padded with zeros, so its
-    lambda_min is min(lambda_corner, 0) and the witness is zero-padded
-    in each block; when it does not, the symbol is numerically
-    non-normal, its Toeplitz term has unbounded support, and the
-    W-window is gathered from the 2W*-window and reported not exact.
+    Certificate.  Exactness is read from the symbol: it is normal when
+    n = 1, or when no coefficient of Phi* Phi - Phi Phi* exceeds
+    EXACT_TOL (`is_normal_symbol`).  A normal symbol's W*-window is
+    assembled once.  For W >= W* the W-window is that corner padded with
+    zeros, so its lambda_min is min(lambda_corner, 0) and the witness is
+    zero-padded in each block.  For W < W* its W-corner is decided, exact
+    when nothing outside that corner exceeds EXACT_TOL (when the W*-window
+    is over budget, the W-window is decided alone, not exact).  A
+    non-normal symbol's Toeplitz term has unbounded support, so no window
+    is exact: up to W* it is assembled at W, above W* gathered.
     Gather.  Facts (1) and (2) hold for every symbol, normal or not.  By
     (1) an entry with min(a, b) >= L = k*bw is the coefficient of degree
     a - b above, and by (2) it vanishes for |a - b| > D = k(m + N).  So
     entry (a, b) of the W-window is entry (a - s, b - s) of the
-    2W*-window, s = max(0, min(a, b) - L), whose modes lie within
+    (W* + 1)-window, s = max(0, min(a, b) - L): both modes are at most
     L + D = W*.  Ordered mode by mode, the W-window is Hermitian-banded
     with half-bandwidth k*n*(D + 1) - 1, and is decided in that form
     (`_band_report`) with no product or dense eigensolve at W.
@@ -282,27 +277,30 @@ def k_hypo_window(phi: Symbol, k: int, W: int, psd_tol=PSD_TOL) -> PositivityRep
     bw = phi.bandwidth()
     if W < bw + 1:
         raise ValueError(f"window {W} too small for bandwidth {bw}")
-    return _decide_window(lambda V: _power_commutators(phi, k, V), k, phi.n, W, *_support(phi, k),
-                          2 * k * bw + 1, psd_tol)
+    return _decide_window(lambda V: _power_commutators(phi, k, V), is_normal_symbol(phi, EXACT_TOL),
+                          k, phi.n, W, *_support(phi, k), 2 * k * bw + 1, psd_tol)
 
 
-def _decide_window(assemble, k, n, W, L, D, pad, psd_tol):
+def _decide_window(assemble, normal, k, n, W, L, D, pad, psd_tol):
     """Positivity of a k x k block window of order n*W, decided on its support corner W* = L + D.
 
     `assemble(V)` returns the exact V-window from products on a window
-    inflated to V + pad.  One assembly, at 2V with V = min(W, W*), and
-    one doubling test decide; see `k_hypo_window`.
+    inflated to V + pad.  It is called once, at W*, at W or, to gather a
+    non-normal window above W*, at W* + 1; see `k_hypo_window`.
     """
-    V = min(W, max(1, L + D))
-    big = assemble(2 * V)
-    corner, exact = _doubling(big, k, n * V)
-    if not exact and W > V:  # not normal: no window is exact
+    Ws = max(1, L + D)
+    if W < Ws and _window_bytes(n, k, Ws, Ws + pad) > MAX_WINDOW_BYTES:
+        normal = False  # the support corner is over budget: the W-window alone, not exact
+    if not normal and W > Ws:  # no window is exact: gather the band from the support
         _refuse_over_budget(n, k, W, W + pad)  # the cap the dense W-window was held to
-        rep = _band_report(big, k, n, W, L, D, psd_tol)
+        rep = _band_report(assemble(L + D + 1), k, n, W, L, D, psd_tol)
     else:
-        del big  # free the 2V window before the eigensolve on its corner
-        rep = positivity_report(corner, W, exact=exact, psd_tol=psd_tol)
-        if W > V:  # the W-window is the certified corner padded with zeros
+        V = Ws if normal else W
+        window, exact = assemble(V), normal
+        if V > W:  # the W-corner of the support corner
+            window, exact = _corner(window, k, n * V, n * W)
+        rep = positivity_report(window, W, exact=exact, psd_tol=psd_tol)
+        if W > V:  # the W-window is the support corner padded with zeros
             rep.min_eigenvalue = min(rep.min_eigenvalue, 0.0)
             if rep.witness is not None:
                 padded = np.zeros((k, n * W), dtype=complex)
@@ -313,8 +311,8 @@ def _decide_window(assemble, k, n, W, L, D, pad, psd_tol):
     return rep
 
 
-def _band_report(big, k, n, W, L, D, psd_tol):
-    """Positivity of the W-window gathered from the exact 2W*-window `big`, in band form.
+def _band_report(support, k, n, W, L, D, psd_tol):
+    """Positivity of the W-window gathered from the exact (W* + 1)-window `support`, in band form.
 
     Every eigenvalue comes from `eigvals_banded`, so the PSD rule reads
     the same lambda_min and scale as on the dense window.  A witness is
@@ -322,7 +320,7 @@ def _band_report(big, k, n, W, L, D, psd_tol):
     iteration with `solve_banded`, shifted just below lambda_min, from
     a fixed seeded start, mapped back to block order.
     """
-    ab, u = _band_gather(0.5 * (big + big.conj().T), k, n, W, L, D)
+    ab, u = _band_gather(0.5 * (support + support.conj().T), k, n, W, L, D)
     vals = scipy.linalg.eigvals_banded(ab[u:], lower=True)
     lam = float(vals[0])
     scale = max(abs(lam), abs(float(vals[-1])))
@@ -341,18 +339,19 @@ def _band_report(big, k, n, W, L, D, psd_tol):
     return PositivityReport(lam, witness, verdict, exact=False, window=W)
 
 
-def _band_gather(big, k, n, W, L, D):
-    """The W-window gathered from the 2W*-window `big`, as (ab, u) in LAPACK's band storage.
+def _band_gather(support, k, n, W, L, D):
+    """The W-window gathered from the (W* + 1)-window `support`, as (ab, u) in LAPACK's band storage.
 
     Indices run mode by mode, (mode, block, component), so entry (I, J)
     sits at ab[u + I - J, J] with half-bandwidth u = k*n*(D + 1) - 1, and
-    entry (a, b) of each block is entry (a - s, b - s) of `big`'s, with
-    s = max(0, min(a, b) - L); see `k_hypo_window`.
+    entry (a, b) of each block is entry (a - s, b - s) of `support`'s, with
+    s = max(0, min(a, b) - L), whose largest mode is W* = L + D; any
+    exact window of at least W* + 1 modes serves.  See `k_hypo_window`.
     """
     kn = k * n
     order, u = kn * W, kn * (D + 1) - 1
-    V = big.shape[0] // kn  # 2W*
-    blocks = big.reshape(k, V, n, k, V, n)
+    V = support.shape[0] // kn  # W* + 1, or more
+    blocks = support.reshape(k, V, n, k, V, n)
     J = np.arange(order)
     I = J + np.arange(-u, u + 1)[:, None]
     a, b = I // kn, J // kn
@@ -379,15 +378,15 @@ def square_hypo_window(phi: Symbol, W: int, psd_tol=PSD_TOL) -> PositivityReport
     T^2 is banded-plus-finite-rank, so the commutator window is exact
     after inflation; the verdict contract matches k_hypo_window.
     [T^{*2}, T^2] is block (2, 2) of the k = 2 matrix there, so the same
-    support corner W* (with k = 2) and the same decision apply.  For a
-    non-normal symbol its W-window is gathered from the 2W*-window with
-    L = 2*bw and D = 2(m + N): one block, half-bandwidth n*(D + 1) - 1.
+    support corner W* (with k = 2) and the same decision apply.  A
+    non-normal W-window above W* is gathered with L = 2*bw and
+    D = 2(m + N): one block, half-bandwidth n*(D + 1) - 1.
     """
     bw = phi.bandwidth()
     if W < 2 * bw + 1:
         raise ValueError(f"window {W} too small for squared bandwidth {2 * bw}")
-    return _decide_window(lambda V: _square_commutator(phi, V), 1, phi.n, W, *_support(phi, 2),
-                          4 * bw + 4, psd_tol)
+    return _decide_window(lambda V: _square_commutator(phi, V), is_normal_symbol(phi, EXACT_TOL),
+                          1, phi.n, W, *_support(phi, 2), 4 * bw + 4, psd_tol)
 
 
 def _square_commutator(phi: Symbol, W: int):

@@ -214,12 +214,12 @@ def _json_int(v, name):
     return v
 
 
-def is_normal_symbol(phi: Symbol):
-    """Whether Phi* Phi = Phi Phi* coefficientwise within 1e-9."""
+def is_normal_symbol(phi: Symbol, tol=1e-9):
+    """Whether Phi* Phi = Phi Phi* coefficientwise within `tol`."""
     if phi.n == 1:
         return True
     diff = phi.star() * phi - phi * phi.star()
-    return diff.is_zero(1e-9)
+    return diff.is_zero(tol)
 
 
 def _prune(v):

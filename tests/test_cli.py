@@ -85,6 +85,14 @@ def test_export_witness_matches_check_k(capsys):
     assert exported["verdict"] == "ConsistentUpToWindow" and not exported["exact"]
 
 
+def test_check_k_selfadjoint_symbol_is_exact_psd(capsys):
+    # T is self-adjoint, so k-hyponormal for every k: the window above W* = 9 is exact
+    code = main(["check-k", "--phi", "7.3zbar + 7.3z", "--k", "3", "--window", "24"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert out["verdict"] == "PSD" and out["exact"] is True
+
+
 def test_check_square_notpsd(capsys):
     code = main(["check-square", "--phi", "zbar+2z", "--window", "32"])
     out = json.loads(capsys.readouterr().out)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from blocktoeplitz import operators as op
+from blocktoeplitz import operators as op, suites
 from blocktoeplitz.operators import (
     completion_selfadjoint_part,
     hankel_window,
@@ -293,6 +293,16 @@ def test_square_hypo_above_support_corner_matches_full_window(kind):
     assert_matches_full_window(rep, op._square_commutator(phi, W), W)
 
 
+def test_exactness_survives_exact_scaling():
+    # scaling by 2^e is exact in floating point, so it cannot change whether a window is exact
+    for i in range(100):
+        phi = suites.random_scalar_trig(np.random.default_rng([1, i]), max_deg=4)
+        for k in (1, 2):
+            W = support_corner(phi, k) + 2
+            for scale in (1.0, 2.0**10, 2.0**20):
+                assert k_hypo_window(scale * phi, k, W).exact
+
+
 def test_nonnormal_symbol_is_assembled_at_the_window_and_not_exact():
     for k, W in ((1, 9), (2, 12)):
         rep = k_hypo_window(NONNORMAL, k, W)
@@ -380,7 +390,7 @@ def test_selfcommutator_huge_window_refused_up_front():
     np.testing.assert_allclose(com.block, np.diag([3.0, 0.0, 0.0]), atol=1e-12)
 
 
-def test_selfcommutator_assembles_only_at_twice_the_window(monkeypatch):
+def test_selfcommutator_assembles_once_at_the_window(monkeypatch):
     built = []
     hankel_difference, toeplitz = op._hankel_difference, op.toeplitz_window
 
@@ -395,7 +405,7 @@ def test_selfcommutator_assembles_only_at_twice_the_window(monkeypatch):
     monkeypatch.setattr(op, "_hankel_difference", recording_hankel_difference)
     monkeypatch.setattr(op, "toeplitz_window", recording_toeplitz)
     com = selfcommutator_exact(NONNORMAL, 5)
-    assert built == [("hankel", 10), ("toeplitz", 10)]
+    assert built == [("hankel", 5), ("toeplitz", 5)]
     assert com.window == 5 and not com.exact and com.block.flags.c_contiguous
     monkeypatch.undo()
     star = NONNORMAL.star()
@@ -429,7 +439,7 @@ def test_windows_match_sliding_window_form(n):
             assert np.array_equal(hankel_window(phi, W).block, H.reshape(n * W, n * W))
 
 
-# -- non-normal windows above W*: gathered from the 2W*-window, decided in band form ------
+# -- non-normal windows above W*: gathered from the (W* + 1)-window, in band form --------
 
 NONNORMAL_GRID = [(n, m, N) for n in (1, 2) for m in (0, 1, 2) for N in (1, 2)]
 K_OR_SQUARE = [1, 2, 3, 4, None]  # k, or None for the square test
@@ -531,7 +541,8 @@ def test_band_witness_is_bitwise_repeatable():
         assert a.verdict == "NotPSD" and np.array_equal(a.witness, b.witness)
 
 
-def test_nonnormal_branch_assembles_only_at_twice_the_support_corner(monkeypatch):
+def recording_assemblies(monkeypatch):
+    """The windows at which the k-test and the square test assemble, in call order."""
     windows = []
     power, square = op._power_commutators, op._square_commutator
 
@@ -543,15 +554,37 @@ def test_nonnormal_branch_assembles_only_at_twice_the_support_corner(monkeypatch
         windows.append(W)
         return square(phi, W)
 
+    monkeypatch.setattr(op, "_power_commutators", recording_power)
+    monkeypatch.setattr(op, "_square_commutator", recording_square)
+    return windows
+
+
+def test_nonnormal_branch_assembles_once_past_the_support_corner(monkeypatch):
+    windows = recording_assemblies(monkeypatch)
+
     def no_eigh(*args, **kwargs):
         raise AssertionError("dense eigh on the non-normal branch")
 
-    monkeypatch.setattr(op, "_power_commutators", recording_power)
-    monkeypatch.setattr(op, "_square_commutator", recording_square)
     monkeypatch.setattr(scipy.linalg, "eigh", no_eigh)
     for k in (1, 2, 3, None):
         windows.clear()
         rep = k_hypo_window(NONNORMAL, k, 128) if k else square_hypo_window(NONNORMAL, 128)
         L, D = op._support(NONNORMAL, k or 2)
         assert not rep.exact and rep.verdict == "NotPSD"
-        assert windows == [2 * (L + D)]
+        assert windows == [L + D + 1]
+
+
+def test_normal_symbol_assembles_once_at_the_support_corner(monkeypatch):
+    windows = recording_assemblies(monkeypatch)
+    for k in (1, 2, 3):
+        Ws = support_corner(GAP, k)
+        for W in (Ws - 2, Ws + 5):
+            windows.clear()
+            rep = k_hypo_window(GAP, k, W)
+            assert rep.exact and rep.window == W
+            assert windows == [Ws]
+    # a support corner over budget (W* = 300, dense order 3000) is not assembled: the
+    # W-window is decided alone and is not exact
+    windows.clear()
+    rep = k_hypo_window(Symbol.scalar({-10: 1, 10: 1}), 10, 12)
+    assert windows == [12] and not rep.exact and rep.verdict == "PSD"
