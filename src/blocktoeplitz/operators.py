@@ -1,11 +1,10 @@
 """Exact finite windows of Toeplitz/Hankel operators and positivity tests.
 
 For trigonometric-polynomial symbols, Hankel operators have finite
-support and Toeplitz operators are banded, so every commutator window
-below is assembled so that the returned top-left block equals the
-corresponding block of the infinite operator exactly: products are
-computed on an inflated window and then compressed.  Hankel products
-are formed on the nonzero leading corners of the Hankel windows only.
+support and Toeplitz operators are banded, so each commutator window
+below equals the corresponding block of the infinite operator exactly:
+products are computed on an inflated window and then compressed, the
+Hankel products on the nonzero leading corners only.
 
 For a normal symbol (always for n = 1; for n > 1 when no coefficient of
 Phi* Phi - Phi Phi* exceeds EXACT_TOL) the k-hyponormality block matrix
@@ -22,7 +21,8 @@ is, before anything is allocated, any window whose dense assembly would
 exceed MAX_WINDOW_BYTES: self-commutator, k-step, squared (also when
 non-normal) and the normal non-Toeplitz completion; a normal symbol's
 window below W* whose W*-window would exceed it is decided alone, not
-exact.
+exact.  Dense windows use numpy's `eigh`: the numpy and scipy wheels
+each bundle their own OpenBLAS, and switching pools stalls a window test.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .symbols import Symbol, is_normal_symbol
 
@@ -95,7 +94,7 @@ def _hankel_view(h, W):
 def positivity_report(matrix, window, exact=False, psd_tol=PSD_TOL) -> PositivityReport:
     """Classify a Hermitian window by its minimum eigenvalue; see `_verdict`."""
     Hm = 0.5 * (matrix + matrix.conj().T)
-    vals, vecs = scipy.linalg.eigh(Hm)
+    vals, vecs = np.linalg.eigh(Hm)
     lam = float(vals[0])
     verdict = _verdict(lam, max(abs(lam), abs(float(vals[-1]))), psd_tol)
     witness = None if verdict == "PSD" else _canonical_witness(vecs[:, 0])
@@ -320,6 +319,7 @@ def _band_report(support, k, n, W, L, D, psd_tol):
     iteration with `solve_banded`, shifted just below lambda_min, from
     a fixed seeded start, mapped back to block order.
     """
+    import scipy.linalg  # the only scipy user: kept off `import blocktoeplitz`
     ab, u = _band_gather(0.5 * (support + support.conj().T), k, n, W, L, D)
     vals = scipy.linalg.eigvals_banded(ab[u:], lower=True)
     lam = float(vals[0])

@@ -1,6 +1,9 @@
 import argparse
 import json
+import os
 import shlex
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -391,3 +394,47 @@ def test_completion_residual_window_over_budget(capsys):
     assert time.monotonic() - t0 < 1.0
     err = capsys.readouterr().err
     assert "100000" in err and "GiB" in err
+
+
+ROOT = Path(__file__).resolve().parents[1]
+# a fresh interpreter: import the package, run one CLI command, report its code and whether scipy loaded
+FRESH_CHILD = """
+import json, sys
+import blocktoeplitz
+from blocktoeplitz.cli import main
+argv = json.loads(sys.argv[1])
+code = main(argv) if argv else 0
+sys.stderr.write(json.dumps([code, "scipy" in sys.modules]))
+"""
+
+
+def run_fresh(argv):
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", FRESH_CHILD, json.dumps(argv)], cwd=ROOT,
+                          env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
+                          timeout=120)
+    code, scipy_loaded = json.loads(proc.stderr.strip().splitlines()[-1])
+    return code, scipy_loaded, json.loads(proc.stdout) if argv else None
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["check-hyponormal", "--phi", "zbar^2 + 2zbar + z + 2z^2"],
+    ["check-k", "--k", "2", "--window", "12", "bench/data/gap.json"],
+    ["check-square", "--phi", "zbar+2z", "--window", "64"],
+], ids=["import", "check-hyponormal", "check-k", "check-square"])
+def test_dense_verdicts_leave_scipy_unloaded(argv):
+    code, scipy_loaded, _ = run_fresh(argv)
+    assert code == 0 and not scipy_loaded
+
+
+def test_band_path_loads_scipy_and_keeps_its_verdict(tmp_path):
+    # E12 zbar + 2z I is not normal, so W = 128 > W* = 6 at k = 2 is decided in band form
+    f = tmp_path / "nonnormal.json"
+    f.write_text(json.dumps({"n": 2, "coeffs": [
+        {"deg": -1, "matrix": [[[0, 0], [1, 0]], [[0, 0], [0, 0]]]},
+        {"deg": 1, "matrix": [[[2, 0], [0, 0]], [[0, 0], [2, 0]]]},
+    ]}))
+    code, scipy_loaded, out = run_fresh(["check-k", "--k", "2", "--window", "128", str(f)])
+    assert code == 0 and scipy_loaded
+    assert out["verdict"] == "NotPSD" and not out["exact"]

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.linalg
 
 from blocktoeplitz import operators as op, suites
 from blocktoeplitz.operators import (
@@ -315,13 +314,13 @@ def test_nonnormal_symbol_is_assembled_at_the_window_and_not_exact():
 
 def test_certified_path_solves_only_the_support_corner(monkeypatch):
     orders = []
-    eigh = scipy.linalg.eigh
+    eigh = np.linalg.eigh
 
     def recording_eigh(a, *args, **kwargs):
         orders.append(a.shape[0])
         return eigh(a, *args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "eigh", recording_eigh)
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
     for k in (1, 2, 3, 4):
         orders.clear()
         rep = k_hypo_window(GAP, k, 64)
@@ -565,7 +564,7 @@ def test_nonnormal_branch_assembles_once_past_the_support_corner(monkeypatch):
     def no_eigh(*args, **kwargs):
         raise AssertionError("dense eigh on the non-normal branch")
 
-    monkeypatch.setattr(scipy.linalg, "eigh", no_eigh)
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
     for k in (1, 2, 3, None):
         windows.clear()
         rep = k_hypo_window(NONNORMAL, k, 128) if k else square_hypo_window(NONNORMAL, 128)
