@@ -318,9 +318,10 @@ def classify_normal_or_analytic(phi) -> Verdict:
     coprime.  Otherwise returns Analytic for vanishing co-analytic part,
     Normal for vanishing exact self-commutator (no entry above
     NORMAL_TOL), and Neither else.  In the Neither case a Hyponormal
-    verdict together with a PSD squared-window test, on the window
+    verdict together with an exact PSD squared-window test, on the window
     max(16, 4 bw + 4) for bandwidth bw, contradicts the classification
-    guarantee and is flagged THEOREM-VIOLATION for the harness to count.
+    guarantee and is flagged THEOREM-VIOLATION for the harness to count;
+    a PSD window that is not exact certifies nothing.
     """
     route = _route(phi)
     if route.analytic:
@@ -338,7 +339,7 @@ def classify_normal_or_analytic(phi) -> Verdict:
     hypo = _decide_hyponormal(route)
     if hypo.tag == "Hyponormal":
         sq = op.square_hypo_window(S, max(16, 4 * S.bandwidth() + 4))
-        if sq.verdict == "PSD":
+        if sq.verdict == "PSD" and sq.exact:
             return Verdict("Neither", notes=notes + [
                 "THEOREM-VIOLATION: hyponormal with hyponormal square but neither normal nor analytic"
             ])

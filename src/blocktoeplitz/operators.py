@@ -8,21 +8,24 @@ Hankel products on the nonzero leading corners only.
 
 For a normal symbol (always for n = 1; for n > 1 when no coefficient of
 Phi* Phi - Phi Phi* exceeds EXACT_TOL) the k-hyponormality block matrix
-and the squared self-commutator are supported in a corner of
-W* = k(bw + m + N) modes (k = 2 for the square test), whatever window
-the caller asks for.  Exactness is read from that rule, and each window
-test assembles one window: the W*-window of a normal symbol, decided
-above W* and read as its W-corner below; for a non-normal symbol, never
-exact, the W-window up to W* and above it the (W* + 1)-window, from
-which the W-window is gathered and decided in band form, with no
-product or dense eigensolve at W.  `k_hypo_window` gives the proofs.
-A self-commutator window below bw is refused with a ValueError, and so
-is, before anything is allocated, any window whose dense assembly would
-exceed MAX_WINDOW_BYTES: self-commutator, k-step, squared (also when
-non-normal) and the normal non-Toeplitz completion; a normal symbol's
-window below W* whose W*-window would exceed it is decided alone, not
-exact.  Dense windows use numpy's `eigh`: the numpy and scipy wheels
-each bundle their own OpenBLAS, and switching pools stalls a window test.
+and the squared self-commutator are supported in the tight corner of
+W_t = bw + (k - 1)(m + N) modes (k = 2 for the square test), whatever
+window the caller asks for.  Exactness is read from that rule, and each
+window test assembles one window: the W_t-window of a normal symbol,
+decided above W_t and read as its W-corner below; for a non-normal
+symbol, never exact, the W-window up to W* = L + D, with L = k*bw and
+D = k(m + N), and above W* the (W* + 1)-window, from which the W-window
+is gathered and decided in band form, with no product or dense
+eigensolve at W.  `k_hypo_window` gives the proofs.  A window whose
+Hermitian part has no imaginary part is solved in real arithmetic; its
+witness is still complex.  A self-commutator window below bw is refused
+with a ValueError, and so is, before anything is allocated, any window
+whose dense assembly would exceed MAX_WINDOW_BYTES: self-commutator,
+k-step, squared (also when non-normal) and the normal non-Toeplitz
+completion; a normal symbol's window below W_t whose W_t-window would
+exceed it is decided alone, not exact.  Dense windows use numpy's
+`eigh`: the numpy and scipy wheels each bundle their own OpenBLAS, and
+switching pools stalls a window test.
 """
 
 from __future__ import annotations
@@ -92,9 +95,9 @@ def _hankel_view(h, W):
 
 
 def positivity_report(matrix, window, exact=False, psd_tol=PSD_TOL) -> PositivityReport:
-    """Classify a Hermitian window by its minimum eigenvalue; see `_verdict`."""
-    Hm = 0.5 * (matrix + matrix.conj().T)
-    vals, vecs = np.linalg.eigh(Hm)
+    """Classify a Hermitian window by its minimum eigenvalue (see `_verdict`), in real arithmetic
+    when its Hermitian part is real."""
+    vals, vecs = np.linalg.eigh(_real_if_real(0.5 * (matrix + matrix.conj().T)))
     lam = float(vals[0])
     verdict = _verdict(lam, max(abs(lam), abs(float(vals[-1]))), psd_tol)
     witness = None if verdict == "PSD" else _canonical_witness(vecs[:, 0])
@@ -112,9 +115,14 @@ def _verdict(lam, scale, psd_tol):
     return "NotPSD" if lam < -NOT_PSD_TOL else "Marginal"
 
 
+def _real_if_real(H):
+    """H itself, or its real part when its imaginary part is exactly zero."""
+    return H if H.imag.any() else H.real
+
+
 def _canonical_witness(v):
-    """Unit-norm eigenvector with its largest entry rotated to the positive axis."""
-    v = v / np.linalg.norm(v)
+    """Complex unit-norm eigenvector with its largest entry rotated to the positive axis."""
+    v = np.asarray(v, dtype=complex) / np.linalg.norm(v)
     k = int(np.argmax(np.abs(v)))
     ph = v[k] / abs(v[k])
     return v / ph
@@ -185,9 +193,7 @@ def _power_commutators(phi: Symbol, k: int, W: int):
     product of up to 2k factors spreads at most 2k*bw modes, so the
     inflated window W + 2k*bw + 1 makes the top-left W block exact.
     """
-    B = W + 2 * k * phi.bandwidth() + 1
-    _refuse_over_budget(phi.n, k, W, B)
-    T = toeplitz_window(phi, B).block
+    T = toeplitz_window(phi, W + 2 * k * phi.bandwidth() + 1).block
     Ts = T.conj().T
     powT = [T]
     powTs = [Ts]
@@ -203,15 +209,18 @@ def _power_commutators(phi: Symbol, k: int, W: int):
     return out
 
 
-def _window_bytes(n, k, W, B):
-    """Bytes for a k x k block window of order n*W, from products on the inflated window B.
+def _window_bytes(n, k, W, B, V=0):
+    """Bytes to decide a k x k block window of order n*W from products on the inflated window B.
 
-    16 bytes per complex entry of the 2k powers of T and T* on B and of
-    eight matrices of order k*n*W: the products, the Hermitian part, and
-    the copy and eigenvectors that `eigh` allocates.  On the band path
-    the same estimate caps the order to be decided, not the bytes.
+    16 bytes per complex entry of the 2k powers of T and T* on B, of the
+    assembled V-window when the W-window is read as its corner (V > W),
+    and of eight matrices of order k*n*W: the products, the Hermitian
+    part, and the copy and eigenvectors that `eigh` allocates.  On the
+    band path the same estimate caps the order to be decided, not the
+    bytes.
     """
-    return 16 * (2 * k * (n * B) ** 2 + 8 * (k * n * W) ** 2)
+    corner = (k * n * V) ** 2 if V > W else 0
+    return 16 * (2 * k * (n * B) ** 2 + corner + 8 * (k * n * W) ** 2)
 
 
 def _refuse_over_budget(n, k, W, B):
@@ -223,9 +232,17 @@ def _refuse_over_budget(n, k, W, B):
 
 
 def _support(phi: Symbol, k: int):
-    """(L, D) = (k*bw, k(m + N)); the support corner is W* = L + D (see `k_hypo_window`)."""
+    """(L, D) = (k*bw, k(m + N)): a non-normal window past W* = L + D is a band (see `k_hypo_window`)."""
     m, N = phi.degree_bounds()
     return k * max(m, N), k * (m + N)
+
+
+def _tight_corner(phi: Symbol, k: int):
+    """W_t = bw + (k - 1)(m + N), at least 1, for a normal symbol; None for a non-normal one."""
+    if not is_normal_symbol(phi, EXACT_TOL):
+        return None
+    m, N = phi.degree_bounds()
+    return max(1, max(m, N) + (k - 1) * (m + N))
 
 
 def k_hypo_window(phi: Symbol, k: int, W: int, psd_tol=PSD_TOL) -> PositivityReport:
@@ -236,70 +253,75 @@ def k_hypo_window(phi: Symbol, k: int, W: int, psd_tol=PSD_TOL) -> PositivityRep
     are PSD); a PSD verdict is exact only when the quadratic form is
     supported inside the window (see Certificate).
 
-    Support corner.  Let Phi have support [-m, N] and bw = max(m, N),
-    and write e_b for mode b.  Three facts:
+    Tight corner.  Let Phi have support [-m, N] and bw = max(m, N), write
+    e_b for mode b and C = [T*, T].  Telescoping with
+    [A, BC] = [A, B]C + B[A, C] gives, for i, j <= k,
+      [T^{*j}, T^i] = sum over p < i, q < j of
+                      T^p T^{*q} C T^{*(j-1-q)} T^{i-1-p}.
+    For a normal symbol the Toeplitz term T_{Phi*Phi - Phi Phi*} of C
+    vanishes, so C = H_{Phi*}* H_{Phi*} - H_Phi* H_Phi lives on modes
+    below bw.  T lowers a mode by at most m and T* by at most N, so entry
+    (a, b) of a summand is zero unless a - qm - pN < bw and
+    b - (i-1-p)m - (j-1-q)N < bw.  With p, q <= k - 1, both a and b lie
+    below W_t = bw + (k - 1)(m + N): every block lives in its leading W_t
+    modes, bw for k = 1.
+    Certificate.  Exactness is read from the symbol: it is normal when
+    n = 1, or when no coefficient of Phi* Phi - Phi Phi* exceeds
+    EXACT_TOL (`is_normal_symbol`).  A normal symbol's W_t-window is
+    assembled once.  For W >= W_t the W-window is that corner padded with
+    zeros, so its lambda_min is min(lambda_corner, 0) and the witness is
+    zero-padded in each block.  For W < W_t its W-corner is decided, exact
+    when nothing outside that corner exceeds EXACT_TOL (when the
+    W_t-window is over budget, the W-window is decided alone, not exact).
+    A non-normal symbol's C has the Toeplitz term, whose support is
+    unbounded, so no window is exact: up to W* = L + D it is assembled at
+    W, above W* gathered.
+    Gather.  For every symbol, normal or not:
       (1) T_Phi e_b = Phi z^b once b >= m (no mode of Phi z^b is cut), and
           likewise T_Phi* e_b = Phi* z^b once b >= N;
       (2) T_Phi raises the top mode of a vector by at most N, and T_Phi*
-          by at most m;
-      (3) for a pointwise-normal Phi, (Phi^j)* Phi^i = Phi^i (Phi^j)*.
-    Take entry (a, b) of C = [T^{*j}, T^i] with i, j <= k.  By (2) the
-    top mode of both products applied to e_b is at most b + iN + jm, so
-    the entry vanishes for a - b > k(m + N); C* = [T^{*i}, T^j] gives the
-    same for b - a.  If min(a, b) >= k*bw, (1) applied i (resp. j) times
-    turns the entry into the L^2 pairings <Phi^i z^b, Phi^j z^a> -
-    <(Phi^j)* z^b, (Phi^i)* z^a>, the coefficient of degree a - b of
-    (Phi^j)* Phi^i - Phi^i (Phi^j)*, which is zero by (3).  So the entry
-    vanishes unless min(a, b) < k*bw and |a - b| <= k(m + N), and every
-    block lives in its leading W* = k(bw + m + N) modes.
-    Certificate.  Exactness is read from the symbol: it is normal when
-    n = 1, or when no coefficient of Phi* Phi - Phi Phi* exceeds
-    EXACT_TOL (`is_normal_symbol`).  A normal symbol's W*-window is
-    assembled once.  For W >= W* the W-window is that corner padded with
-    zeros, so its lambda_min is min(lambda_corner, 0) and the witness is
-    zero-padded in each block.  For W < W* its W-corner is decided, exact
-    when nothing outside that corner exceeds EXACT_TOL (when the W*-window
-    is over budget, the W-window is decided alone, not exact).  A
-    non-normal symbol's Toeplitz term has unbounded support, so no window
-    is exact: up to W* it is assembled at W, above W* gathered.
-    Gather.  Facts (1) and (2) hold for every symbol, normal or not.  By
-    (1) an entry with min(a, b) >= L = k*bw is the coefficient of degree
-    a - b above, and by (2) it vanishes for |a - b| > D = k(m + N).  So
-    entry (a, b) of the W-window is entry (a - s, b - s) of the
-    (W* + 1)-window, s = max(0, min(a, b) - L): both modes are at most
-    L + D = W*.  Ordered mode by mode, the W-window is Hermitian-banded
-    with half-bandwidth k*n*(D + 1) - 1, and is decided in that form
-    (`_band_report`) with no product or dense eigensolve at W.
+          by at most m.
+    By (1) an entry (a, b) with min(a, b) >= L = k*bw is the L^2 pairing
+    <Phi^i z^b, Phi^j z^a> - <(Phi^j)* z^b, (Phi^i)* z^a>, the coefficient
+    of degree a - b of (Phi^j)* Phi^i - Phi^i (Phi^j)*, and by (2) it
+    vanishes for |a - b| > D = k(m + N).  So entry (a, b) of the W-window
+    is entry (a - s, b - s) of the (W* + 1)-window, s = max(0, min(a, b) - L):
+    both modes are at most L + D = W*.  Ordered mode by mode, the W-window
+    is Hermitian-banded with half-bandwidth k*n*(D + 1) - 1, and is
+    decided in that form (`_band_report`) with no product or dense
+    eigensolve at W.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     bw = phi.bandwidth()
     if W < bw + 1:
         raise ValueError(f"window {W} too small for bandwidth {bw}")
-    return _decide_window(lambda V: _power_commutators(phi, k, V), is_normal_symbol(phi, EXACT_TOL),
+    return _decide_window(lambda V: _power_commutators(phi, k, V), _tight_corner(phi, k),
                           k, phi.n, W, *_support(phi, k), 2 * k * bw + 1, psd_tol)
 
 
-def _decide_window(assemble, normal, k, n, W, L, D, pad, psd_tol):
-    """Positivity of a k x k block window of order n*W, decided on its support corner W* = L + D.
+def _decide_window(assemble, corner, k, n, W, L, D, pad, psd_tol):
+    """Positivity of a k x k block window of order n*W.
 
-    `assemble(V)` returns the exact V-window from products on a window
-    inflated to V + pad.  It is called once, at W*, at W or, to gather a
-    non-normal window above W*, at W* + 1; see `k_hypo_window`.
+    `corner` is W_t for a normal symbol and None otherwise.  `assemble(V)`
+    returns the exact V-window from products on a window inflated to
+    V + pad.  It is called once, at W_t, at W or, to gather a non-normal
+    window above W* = L + D, at W* + 1; see `k_hypo_window`.
     """
-    Ws = max(1, L + D)
-    if W < Ws and _window_bytes(n, k, Ws, Ws + pad) > MAX_WINDOW_BYTES:
-        normal = False  # the support corner is over budget: the W-window alone, not exact
-    if not normal and W > Ws:  # no window is exact: gather the band from the support
+    V = W if corner is None else corner
+    if V > W and _window_bytes(n, k, W, V + pad, V) > MAX_WINDOW_BYTES:
+        V, corner = W, None  # the tight corner is over budget: the W-window alone, not exact
+    if corner is None and W > L + D:  # no window is exact: gather the band from the support
         _refuse_over_budget(n, k, W, W + pad)  # the cap the dense W-window was held to
         rep = _band_report(assemble(L + D + 1), k, n, W, L, D, psd_tol)
     else:
-        V = Ws if normal else W
-        window, exact = assemble(V), normal
-        if V > W:  # the W-corner of the support corner
+        if V <= W:  # a corner above W was charged above
+            _refuse_over_budget(n, k, V, V + pad)
+        window, exact = assemble(V), corner is not None
+        if V > W:  # the W-corner of the tight corner
             window, exact = _corner(window, k, n * V, n * W)
         rep = positivity_report(window, W, exact=exact, psd_tol=psd_tol)
-        if W > V:  # the W-window is the support corner padded with zeros
+        if W > V:  # the W-window is the tight corner padded with zeros
             rep.min_eigenvalue = min(rep.min_eigenvalue, 0.0)
             if rep.witness is not None:
                 padded = np.zeros((k, n * W), dtype=complex)
@@ -317,10 +339,11 @@ def _band_report(support, k, n, W, L, D, psd_tol):
     the same lambda_min and scale as on the dense window.  A witness is
     needed only when the verdict is not PSD: two steps of inverse
     iteration with `solve_banded`, shifted just below lambda_min, from
-    a fixed seeded start, mapped back to block order.
+    a fixed seeded start, mapped back to block order.  A real band is
+    solved in real arithmetic, from a real start.
     """
     import scipy.linalg  # the only scipy user: kept off `import blocktoeplitz`
-    ab, u = _band_gather(0.5 * (support + support.conj().T), k, n, W, L, D)
+    ab, u = _band_gather(_real_if_real(0.5 * (support + support.conj().T)), k, n, W, L, D)
     vals = scipy.linalg.eigvals_banded(ab[u:], lower=True)
     lam = float(vals[0])
     scale = max(abs(lam), abs(float(vals[-1])))
@@ -331,7 +354,9 @@ def _band_report(support, k, n, W, L, D, psd_tol):
         # shifted below lambda_min by more than its rounding error, so the band LU stays regular
         ab[u] -= lam - order * np.finfo(float).eps * (1.0 + scale)
         rng = np.random.default_rng(0)
-        v = rng.standard_normal(order) + 1j * rng.standard_normal(order)
+        v = rng.standard_normal(order)
+        if np.iscomplexobj(ab):
+            v = v + 1j * rng.standard_normal(order)
         for _ in range(2):
             v = scipy.linalg.solve_banded((u, u), ab, v)
             v /= np.linalg.norm(v)
@@ -377,23 +402,23 @@ def square_hypo_window(phi: Symbol, W: int, psd_tol=PSD_TOL) -> PositivityReport
 
     T^2 is banded-plus-finite-rank, so the commutator window is exact
     after inflation; the verdict contract matches k_hypo_window.
-    [T^{*2}, T^2] is block (2, 2) of the k = 2 matrix there, so the same
-    support corner W* (with k = 2) and the same decision apply.  A
-    non-normal W-window above W* is gathered with L = 2*bw and
-    D = 2(m + N): one block, half-bandwidth n*(D + 1) - 1.
+    [T^{*2}, T^2] is block (2, 2) of the k = 2 matrix there, so a normal
+    symbol's window lives in the same tight corner W_t = bw + m + N
+    (k = 2), which the smallest window 2*bw + 1 always covers: every
+    square test of a normal symbol is exact.  A non-normal W-window above
+    W* is gathered with L = 2*bw and D = 2(m + N): one block,
+    half-bandwidth n*(D + 1) - 1.
     """
     bw = phi.bandwidth()
     if W < 2 * bw + 1:
         raise ValueError(f"window {W} too small for squared bandwidth {2 * bw}")
-    return _decide_window(lambda V: _square_commutator(phi, V), is_normal_symbol(phi, EXACT_TOL),
+    return _decide_window(lambda V: _square_commutator(phi, V), _tight_corner(phi, 2),
                           1, phi.n, W, *_support(phi, 2), 4 * bw + 4, psd_tol)
 
 
 def _square_commutator(phi: Symbol, W: int):
     """Exact W-window of [T^2*, T^2]: products on a window inflated past the squared bandwidth."""
-    B = W + 4 * phi.bandwidth() + 4
-    _refuse_over_budget(phi.n, 1, W, B)
-    S = square_window(phi, B)
+    S = square_window(phi, W + 4 * phi.bandwidth() + 4)
     nW = phi.n * W
     return S[:, :nW].conj().T @ S[:, :nW] - S[:nW] @ S[:nW].conj().T
 

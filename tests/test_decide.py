@@ -150,6 +150,22 @@ def test_classify_neither_without_violation():
     assert not any("THEOREM-VIOLATION" in s for s in v.notes)
 
 
+def test_classify_violation_needs_an_exact_psd_square(monkeypatch):
+    # a PSD square window that is not exact certifies nothing, so it flags no violation
+    phi = Symbol.scalar({-1: 1, 1: 2})
+
+    def psd_square(exact):
+        return lambda S, W, psd_tol=op.PSD_TOL: op.PositivityReport(0.0, None, "PSD", exact=exact,
+                                                                    window=W)
+
+    monkeypatch.setattr(op, "square_hypo_window", psd_square(False))
+    v = classify_normal_or_analytic(phi)
+    assert v.tag == "Neither"
+    assert not any("THEOREM-VIOLATION" in s for s in v.notes)
+    monkeypatch.setattr(op, "square_hypo_window", psd_square(True))
+    assert any("THEOREM-VIOLATION" in s for s in classify_normal_or_analytic(phi).notes)
+
+
 def test_classify_normal():
     # c*g + conj(c*g) with g = z is real-valued: the operator is self-adjoint
     c = 2 - 1j

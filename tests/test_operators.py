@@ -238,7 +238,7 @@ def test_windows_match_block_definitions_on_gap_symbols():
                 np.testing.assert_array_equal(H[i * n : (i + 1) * n, j * n : (j + 1) * n], phi.coeff(-i - j - 1))
 
 
-# -- windows decided on their support corner W* = k(bw + m + N) ---------------------------
+# -- normal windows decided on their tight corner W_t = bw + (k - 1)(m + N) ---------------
 
 E12 = np.array([[0, 1], [0, 0]], dtype=complex)
 GAP = Symbol(2, {-1: np.eye(2), -2: X, 2: 2 * X})  # hyponormal, not 2-hyponormal
@@ -257,8 +257,9 @@ def normal_symbol(rng, kind):
 
 
 def support_corner(phi, k):
+    """W_t = bw + (k - 1)(m + N), the tight corner of a normal symbol's k-window."""
     m, N = phi.degree_bounds()
-    return k * (max(m, N) + m + N)
+    return max(m, N) + (k - 1) * (m + N)
 
 
 def assert_matches_full_window(rep, full, W):
@@ -292,6 +293,23 @@ def test_square_hypo_above_support_corner_matches_full_window(kind):
     assert_matches_full_window(rep, op._square_commutator(phi, W), W)
 
 
+@pytest.mark.parametrize("kind", ["scalar", "unitary", "analytic", "coanalytic", "gap"])
+def test_tight_corner_decisions_match_full_windows(kind):
+    # every window from just below W_t to just above W* = k(bw + m + N), the corner before;
+    # halved, so that k = 4 windows stay within the check's absolute lambda and residual bounds
+    rng = np.random.default_rng(43)
+    for k in (1, 2, 3, 4, None):
+        phi = GAP if kind == "gap" else 0.5 * normal_symbol(rng, kind)
+        bw = phi.bandwidth()
+        Wt = support_corner(phi, k or 2)
+        L, D = op._support(phi, k or 2)
+        lowest = 2 * bw + 1 if k is None else bw + 1
+        for W in range(max(Wt - 1, lowest), L + D + 2):
+            rep, full = decide_and_assemble(phi, k, W)
+            assert rep.exact == (W >= Wt)  # the top mode of W_t is nonzero: the corner is tight
+            assert_matches_full_window(rep, full, W)
+
+
 def test_exactness_survives_exact_scaling():
     # scaling by 2^e is exact in floating point, so it cannot change whether a window is exact
     for i in range(100):
@@ -300,6 +318,17 @@ def test_exactness_survives_exact_scaling():
             W = support_corner(phi, k) + 2
             for scale in (1.0, 2.0**10, 2.0**20):
                 assert k_hypo_window(scale * phi, k, W).exact
+
+
+def test_k1_verdicts_survive_exact_scaling():
+    # W = 8 >= W_t = bw for every draw, so each k = 1 window is exact by rule
+    for i in range(100):
+        phi = suites.random_scalar_trig(np.random.default_rng([1, i]), max_deg=4)
+        base = k_hypo_window(phi, 1, 8)
+        assert base.exact
+        for scale in (2.0**10, 2.0**20):
+            rep = k_hypo_window(scale * phi, 1, 8)
+            assert (rep.verdict, rep.exact) == (base.verdict, base.exact)
 
 
 def test_nonnormal_symbol_is_assembled_at_the_window_and_not_exact():
@@ -540,6 +569,67 @@ def test_band_witness_is_bitwise_repeatable():
         assert a.verdict == "NotPSD" and np.array_equal(a.witness, b.witness)
 
 
+def recording_dtypes(monkeypatch, owner, name):
+    """The dtypes of the matrices that `owner.name`, an eigensolver, is handed."""
+    dtypes = []
+    solve = getattr(owner, name)
+
+    def recording_solve(a, *args, **kwargs):
+        dtypes.append(a.dtype)
+        return solve(a, *args, **kwargs)
+
+    monkeypatch.setattr(owner, name, recording_solve)
+    return dtypes
+
+
+def solved_both_ways(monkeypatch, decide):
+    """decide() as is, and again with every window kept complex."""
+    rep = decide()
+    with monkeypatch.context() as m:
+        m.setattr(op, "_real_if_real", lambda H: H)
+        ref = decide()
+    return rep, ref
+
+
+def assert_same_lambda_complex_witness(rep, ref):
+    assert rep.verdict == ref.verdict
+    assert abs(rep.min_eigenvalue - ref.min_eigenvalue) <= 1e-12 * max(1.0, abs(ref.min_eigenvalue))
+    assert rep.witness.dtype == ref.witness.dtype == complex
+
+
+def test_real_dense_window_is_solved_in_real_arithmetic(monkeypatch):
+    dtypes = recording_dtypes(monkeypatch, np.linalg, "eigh")
+    for window, W in ((op._power_commutators(GAP, 2, 12), 12),
+                      (op._square_commutator(NONNORMAL, 6), 6)):
+        dtypes.clear()
+        rep, ref = solved_both_ways(monkeypatch, lambda: positivity_report(window, W))
+        assert dtypes == [np.float64, np.complex128]
+        assert_same_lambda_complex_witness(rep, ref)
+        assert_matches_full_window(rep, window, W)
+        window[0, 1] += 1e-3j  # one imaginary entry: solved in complex
+        dtypes.clear()
+        positivity_report(window, W)
+        assert dtypes == [np.complex128]
+
+
+def test_real_band_is_solved_in_real_arithmetic(monkeypatch):
+    import scipy.linalg
+
+    dtypes = recording_dtypes(monkeypatch, scipy.linalg, "eigvals_banded")
+    for k in (1, 2, None):
+        dtypes.clear()
+        rep, ref = solved_both_ways(monkeypatch, lambda: decide_and_assemble(NONNORMAL, k, 40)[0])
+        assert dtypes == [np.float64, np.complex128]
+        assert_same_lambda_complex_witness(rep, ref)
+        assert_matches_full_window(rep, dense_window(NONNORMAL, k, 40), 40)
+    L, D = op._support(NONNORMAL, 2)
+    support = op._power_commutators(NONNORMAL, 2, L + D + 1)
+    support[0, 1] += 1e-3j  # one imaginary entry: solved in complex
+    dtypes.clear()
+    op._band_report(support, 2, 2, 40, L, D, op.PSD_TOL)
+    assert dtypes == [np.complex128]
+
+
 def recording_assemblies(monkeypatch):
     """The windows at which the k-test and the square test assemble, in call order."""
     windows = []
@@ -576,14 +666,14 @@ def test_nonnormal_branch_assembles_once_past_the_support_corner(monkeypatch):
 def test_normal_symbol_assembles_once_at_the_support_corner(monkeypatch):
     windows = recording_assemblies(monkeypatch)
     for k in (1, 2, 3):
-        Ws = support_corner(GAP, k)
-        for W in (Ws - 2, Ws + 5):
+        L, D = op._support(GAP, k)
+        for W in (L + D - 2, L + D + 5):
             windows.clear()
             rep = k_hypo_window(GAP, k, W)
             assert rep.exact and rep.window == W
-            assert windows == [Ws]
-    # a support corner over budget (W* = 300, dense order 3000) is not assembled: the
+            assert windows == [support_corner(GAP, k)]
+    # a tight corner over budget (W_t = 95, dense order 9120) is not assembled: the
     # W-window is decided alone and is not exact
     windows.clear()
-    rep = k_hypo_window(Symbol.scalar({-10: 1, 10: 1}), 10, 12)
-    assert windows == [12] and not rep.exact and rep.verdict == "PSD"
+    rep = k_hypo_window(Symbol(2, {-1: 0.5 * np.eye(2), 1: 0.5 * np.eye(2)}), 48, 2)
+    assert windows == [2] and not rep.exact and rep.verdict == "PSD"
