@@ -121,11 +121,12 @@ def _real_if_real(H):
 
 
 def _canonical_witness(v):
-    """Complex unit-norm eigenvector with its largest entry rotated to the positive axis."""
+    """Complex unit-norm eigenvector rotated so that its first entry of largest modulus, within
+    a relative 1e-9 (so rounding cannot choose between tied entries), is positive."""
     v = np.asarray(v, dtype=complex) / np.linalg.norm(v)
-    k = int(np.argmax(np.abs(v)))
-    ph = v[k] / abs(v[k])
-    return v / ph
+    mod = np.abs(v)
+    k = int(np.argmax(mod >= (1.0 - 1e-9) * mod.max()))
+    return v / (v[k] / mod[k])
 
 
 def selfcommutator_exact(phi: Symbol, W: int | None = None) -> WindowedOperator:

@@ -199,6 +199,20 @@ def test_witness_quadratic_form_matches_eigenvalue():
     assert abs(form - rep.min_eigenvalue) < 1e-9
 
 
+def test_witness_rotation_ignores_rounding_between_tied_entries():
+    # two entries tied in modulus; either one nudged above the other by rounding, the witness
+    # is rotated by the first of them
+    v = np.exp(1j * np.array([0.3, 2.1, -1.0])) * np.array([0.6, 0.6, 0.2])
+    nudged = []
+    for i in (0, 1):
+        u = v.copy()
+        u[i] *= 1.0 + 4 * np.finfo(float).eps
+        nudged.append(op._canonical_witness((0.2 - 0.9j) * u))
+    np.testing.assert_allclose(nudged[0], nudged[1], rtol=0, atol=1e-14)
+    assert abs(nudged[0][0].imag) <= 1e-16 and nudged[0][0].real > 0.0
+    assert abs(np.linalg.norm(nudged[0]) - 1.0) <= 1e-15
+
+
 def test_completion_construction():
     T, res = normal_nontoeplitz_completion(64)
     assert res <= 1e-6
