@@ -301,8 +301,8 @@ def _decide_hyponormal(route, contract_tol=CONTRACT_TOL) -> Verdict:
 
 
 def _window_oracle(S: Symbol):
-    com = op.selfcommutator_exact(S)
-    return op.positivity_report(com.block, com.window, exact=com.exact)
+    m, N = S.degree_bounds()
+    return op.k_hypo_window(S, 1, m + N + 1)
 
 
 def commutator_max_entry(S: Symbol):

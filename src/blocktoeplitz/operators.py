@@ -1,10 +1,11 @@
 """Exact finite windows of Toeplitz/Hankel operators and positivity tests.
 
-For trigonometric-polynomial symbols, Hankel operators have finite
-support and Toeplitz operators are banded, so each commutator window
-below equals the corresponding block of the infinite operator exactly:
-products are computed on an inflated window and then compressed, the
-Hankel products on the nonzero leading corners only.
+For trigonometric-polynomial symbols Toeplitz operators are banded, so
+one routine, `_power_commutators`, assembles every commutator window
+exactly: block (a, b) is the W-window of [T^{*q}, T^p], p and q from a
+list of powers, from products on one Toeplitz window inflated to
+W + max(powers)*bw.  [T*, T] takes the powers (1,), the k-test 1..k
+and the square test (2,), block (2, 2) of the k = 2 matrix.
 
 For a normal symbol (always for n = 1; for n > 1 when no coefficient of
 Phi* Phi - Phi Phi* exceeds EXACT_TOL) the k-hyponormality block matrix
@@ -132,47 +133,25 @@ def _canonical_witness(v):
 def selfcommutator_exact(phi: Symbol, W: int | None = None) -> WindowedOperator:
     """Window of [T*, T] = H_{Phi*}* H_{Phi*} - H_Phi* H_Phi + T_{Phi*Phi - Phi Phi*}.
 
-    For W >= bw the Hankel quadratic forms are fully inside the window,
-    so the window is exact when the Toeplitz term vanishes: always for a
-    scalar symbol, which commutes with its adjoint (no product is
-    formed), and for n > 1 when no coefficient of Phi*Phi - Phi Phi*
-    exceeds EXACT_TOL.  It is assembled once, at W.  A window below bw,
-    or one whose dense assembly would exceed MAX_WINDOW_BYTES, is refused
-    with a ValueError.
+    Assembled once by `_power_commutators` with the powers (1,).  For a
+    normal symbol (`_tight_corner`) the Toeplitz term vanishes and the
+    Hankel terms live on the modes below bw, so the window is assembled
+    at min(W, bw), zero-padded to W and exact; a non-normal symbol's is
+    assembled at W and is not exact.  A window below bw, or one whose
+    dense assembly would exceed MAX_WINDOW_BYTES, is refused with a
+    ValueError.
     """
     m, N = phi.degree_bounds()
     if W is None:
         W = m + N + 1
     if W < max(m, N):
         raise ValueError(f"window {W} too small for bandwidth {max(m, N)}")
-    # the count of a k = 1 window at B = W: the Hankel difference and the Toeplitz window,
-    # then eight of order nW (the positivity test's temporaries)
-    _refuse_over_budget(phi.n, 1, W, W)
-    star = phi.star()
-    block = _hankel_difference(phi, star, W)
-    exact = True
-    if phi.n > 1:  # scalar symbols commute with their adjoint
-        delta = star * phi - phi * star
-        exact = delta.is_zero(EXACT_TOL)
-        if not delta.is_zero():
-            block += toeplitz_window(delta, W).block
-    return WindowedOperator(W, phi.n, block, exact=exact)
-
-
-def _hankel_difference(phi: Symbol, star: Symbol, W: int):
-    """H_{Phi*}* H_{Phi*} - H_Phi* H_Phi on the W-window, from the nonzero Hankel corners."""
-    Hs = _hankel_corner(star, W)
-    H = _hankel_corner(phi, W)
-    out = np.zeros((phi.n * W, phi.n * W), dtype=complex)
-    out[: len(Hs), : len(Hs)] = Hs.conj().T @ Hs
-    out[: len(H), : len(H)] -= H.conj().T @ H
-    return out
-
-
-def _hankel_corner(phi: Symbol, W: int):
-    """The leading n*min(W, m) rows and columns of the Hankel W-window, outside which it is zero."""
-    k = min(W, phi.degree_bounds()[0])
-    return hankel_window(phi, k).block if k else np.zeros((0, 0), dtype=complex)
+    _refuse_over_budget(phi.n, (1,), W, W + max(m, N))
+    corner = _tight_corner(phi, 1)
+    V = W if corner is None else min(W, corner)
+    block = np.zeros((phi.n * W, phi.n * W), dtype=complex)
+    block[: phi.n * V, : phi.n * V] = _power_commutators(phi, (1,), V)
+    return WindowedOperator(W, phi.n, block, exact=corner is not None)
 
 
 def _corner(window, k, nV, nW):
@@ -187,46 +166,48 @@ def _corner(window, k, nV, nW):
     return np.ascontiguousarray(blocks[:, :nW, :, :nW].reshape(k * nW, k * nW)), outside <= EXACT_TOL
 
 
-def _power_commutators(phi: Symbol, k: int, W: int):
-    """k x k block matrix whose block (i, j) is the exact W-window of [T^{*(j+1)}, T^{i+1}].
+def _power_commutators(phi: Symbol, powers, W: int):
+    """Block matrix whose block (a, b) is the exact W-window of [T^{*q}, T^p], for p = powers[a]
+    and q = powers[b]: the one assembler of every commutator window.
 
-    Computed from one inflated Toeplitz window: with bandwidth bw, a
-    product of up to 2k factors spreads at most 2k*bw modes, so the
-    inflated window W + 2k*bw + 1 makes the top-left W block exact.
+    Computed from one Toeplitz window inflated to W + max(powers)*bw.  Each
+    factor moves a mode by at most bw, and every inner mode of a product of
+    at most 2*max(powers) factors between two modes below W is at most
+    max(powers) factors from one of them, so it lies below that inflation.
     """
-    T = toeplitz_window(phi, W + 2 * k * phi.bandwidth() + 1).block
-    Ts = T.conj().T
-    powT = [T]
-    powTs = [Ts]
-    for _ in range(k - 1):
+    top = max(powers)
+    T = toeplitz_window(phi, W + top * phi.bandwidth()).block
+    powT, powTs = [T], [T.conj().T]
+    for _ in range(top - 1):
         powT.append(powT[-1] @ T)
-        powTs.append(powTs[-1] @ Ts)
-    nW = phi.n * W
+        powTs.append(powTs[-1] @ powTs[0])
+    nW, k = phi.n * W, len(powers)
     out = np.empty((k * nW, k * nW), dtype=complex)
-    for i in range(k):
-        for j in range(k):
-            out[i * nW : (i + 1) * nW, j * nW : (j + 1) * nW] = (
-                powTs[j][:nW] @ powT[i][:, :nW] - powT[i][:nW] @ powTs[j][:, :nW])
+    for a, p in enumerate(powers):
+        for b, q in enumerate(powers):
+            out[a * nW : (a + 1) * nW, b * nW : (b + 1) * nW] = (
+                powTs[q - 1][:nW] @ powT[p - 1][:, :nW] - powT[p - 1][:nW] @ powTs[q - 1][:, :nW])
     return out
 
 
-def _window_bytes(n, k, W, B, V=0):
-    """Bytes to decide a k x k block window of order n*W from products on the inflated window B.
+def _window_bytes(n, powers, W, B, V=0):
+    """Bytes to decide the block window of `powers` at W from products on the inflated window B.
 
-    16 bytes per complex entry of the 2k powers of T and T* on B, of the
-    assembled V-window when the W-window is read as its corner (V > W),
-    and of eight matrices of order k*n*W: the products, the Hermitian
-    part, and the copy and eigenvectors that `eigh` allocates.  On the
-    band path the same estimate caps the order to be decided, not the
-    bytes.
+    With k = len(powers) blocks: 16 bytes per complex entry of the
+    2*max(powers) powers of T and T* on B, of the assembled V-window when
+    the W-window is read as its corner (V > W), and of eight matrices of
+    order k*n*W: the products, the Hermitian part, and the copy and
+    eigenvectors that `eigh` allocates.  On the band path the same
+    estimate caps the order to be decided, not the bytes.
     """
+    k = len(powers)
     corner = (k * n * V) ** 2 if V > W else 0
-    return 16 * (2 * k * (n * B) ** 2 + corner + 8 * (k * n * W) ** 2)
+    return 16 * (2 * max(powers) * (n * B) ** 2 + corner + 8 * (k * n * W) ** 2)
 
 
-def _refuse_over_budget(n, k, W, B):
+def _refuse_over_budget(n, powers, W, B):
     """Raise ValueError when `_window_bytes` exceeds MAX_WINDOW_BYTES."""
-    nbytes = _window_bytes(n, k, W, B)
+    nbytes, k = _window_bytes(n, powers, W, B), len(powers)
     if nbytes > MAX_WINDOW_BYTES:
         raise ValueError(f"window {W} (k={k}, n={n}, dense order {k * n * W}) needs about "
                          f"{nbytes / 2**30:.3g} GiB, over the {MAX_WINDOW_BYTES / 2**30:.3g} GiB budget")
@@ -249,10 +230,14 @@ def _tight_corner(phi: Symbol, k: int):
 def k_hypo_window(phi: Symbol, k: int, W: int, psd_tol=PSD_TOL) -> PositivityReport:
     """Positivity of the k x k block matrix of power commutators.
 
-    Block (i, j) holds the W-window of [T^{*j}, T^i].  A NotPSD verdict
-    certifies failure of k-hyponormality (compressions of PSD operators
-    are PSD); a PSD verdict is exact only when the quadratic form is
-    supported inside the window (see Certificate).
+    Block (i, j) holds the W-window of [T^{*j}, T^i], assembled by
+    `_power_commutators` with the powers 1..k on one Toeplitz window of
+    W + k*bw modes: an inner mode of a product of at most 2k factors is
+    at most k factors, each moving a mode by at most bw, from a mode
+    below W.  A NotPSD verdict certifies failure of k-hyponormality
+    (compressions of PSD operators are PSD); a PSD verdict is exact only
+    when the quadratic form is supported inside the window (see
+    Certificate).
 
     Tight corner.  Let Phi have support [-m, N] and bw = max(m, N), write
     e_b for mode b and C = [T*, T].  Telescoping with
@@ -297,28 +282,29 @@ def k_hypo_window(phi: Symbol, k: int, W: int, psd_tol=PSD_TOL) -> PositivityRep
     bw = phi.bandwidth()
     if W < bw + 1:
         raise ValueError(f"window {W} too small for bandwidth {bw}")
-    return _decide_window(lambda V: _power_commutators(phi, k, V), _tight_corner(phi, k),
-                          k, phi.n, W, *_support(phi, k), 2 * k * bw + 1, psd_tol)
+    return _decide_window(phi, range(1, k + 1), W, psd_tol)
 
 
-def _decide_window(assemble, corner, k, n, W, L, D, pad, psd_tol):
-    """Positivity of a k x k block window of order n*W.
+def _decide_window(phi, powers, W, psd_tol):
+    """Positivity of the block window of `powers` (see `_power_commutators`) of order
+    len(powers)*n*W, with W_t, L and D those of the k-test for k = max(powers).
 
-    `corner` is W_t for a normal symbol and None otherwise.  `assemble(V)`
-    returns the exact V-window from products on a window inflated to
-    V + pad.  It is called once, at W_t, at W or, to gather a non-normal
+    It is assembled once, on the inflation W + max(powers)*bw of its
+    window: at W_t for a normal symbol, at W or, to gather a non-normal
     window above W* = L + D, at W* + 1; see `k_hypo_window`.
     """
+    k, n, top = len(powers), phi.n, max(powers)
+    corner, (L, D), pad = _tight_corner(phi, top), _support(phi, top), top * phi.bandwidth()
     V = W if corner is None else corner
-    if V > W and _window_bytes(n, k, W, V + pad, V) > MAX_WINDOW_BYTES:
+    if V > W and _window_bytes(n, powers, W, V + pad, V) > MAX_WINDOW_BYTES:
         V, corner = W, None  # the tight corner is over budget: the W-window alone, not exact
     if corner is None and W > L + D:  # no window is exact: gather the band from the support
-        _refuse_over_budget(n, k, W, W + pad)  # the cap the dense W-window was held to
-        rep = _band_report(assemble(L + D + 1), k, n, W, L, D, psd_tol)
+        _refuse_over_budget(n, powers, W, W + pad)  # the cap the dense W-window was held to
+        rep = _band_report(_power_commutators(phi, powers, L + D + 1), k, n, W, L, D, psd_tol)
     else:
         if V <= W:  # a corner above W was charged above
-            _refuse_over_budget(n, k, V, V + pad)
-        window, exact = assemble(V), corner is not None
+            _refuse_over_budget(n, powers, V, V + pad)
+        window, exact = _power_commutators(phi, powers, V), corner is not None
         if V > W:  # the W-corner of the tight corner
             window, exact = _corner(window, k, n * V, n * W)
         rep = positivity_report(window, W, exact=exact, psd_tol=psd_tol)
@@ -388,40 +374,22 @@ def _band_gather(support, k, n, W, L, D):
     return ab, u
 
 
-def square_window(phi: Symbol, W: int):
-    """Exact W-window of T_Phi^2 via T_{Phi^2} - H_{Phi*}* H_Phi."""
-    S = toeplitz_window(phi * phi, W).block
-    Hs = _hankel_corner(phi.star(), W)
-    H = _hankel_corner(phi, W)
-    c = min(len(Hs), len(H))  # Hs* H sums over the rows where both corners are nonzero
-    S[: len(Hs), : len(H)] -= Hs[:c].conj().T @ H[:c]
-    return S
-
-
 def square_hypo_window(phi: Symbol, W: int, psd_tol=PSD_TOL) -> PositivityReport:
-    """Positivity of the self-commutator of T_Phi^2 on the window.
+    """Positivity of the self-commutator [T^{*2}, T^2] of T_Phi^2 on the window.
 
-    T^2 is banded-plus-finite-rank, so the commutator window is exact
-    after inflation; the verdict contract matches k_hypo_window.
-    [T^{*2}, T^2] is block (2, 2) of the k = 2 matrix there, so a normal
-    symbol's window lives in the same tight corner W_t = bw + m + N
-    (k = 2), which the smallest window 2*bw + 1 always covers: every
-    square test of a normal symbol is exact.  A non-normal W-window above
-    W* is gathered with L = 2*bw and D = 2(m + N): one block,
-    half-bandwidth n*(D + 1) - 1.
+    It is block (2, 2) of the k = 2 matrix of `k_hypo_window`, assembled
+    alone by `_power_commutators` with the powers (2,) on one Toeplitz
+    window of W + 2*bw modes; the verdict contract matches k_hypo_window.
+    So a normal symbol's window lives in the same tight corner
+    W_t = bw + m + N (k = 2), which the smallest window 2*bw + 1 always
+    covers: every square test of a normal symbol is exact.  A non-normal
+    W-window above W* is gathered with L = 2*bw and D = 2(m + N): one
+    block, half-bandwidth n*(D + 1) - 1.
     """
     bw = phi.bandwidth()
     if W < 2 * bw + 1:
         raise ValueError(f"window {W} too small for squared bandwidth {2 * bw}")
-    return _decide_window(lambda V: _square_commutator(phi, V), _tight_corner(phi, 2),
-                          1, phi.n, W, *_support(phi, 2), 4 * bw + 4, psd_tol)
-
-
-def _square_commutator(phi: Symbol, W: int):
-    """Exact W-window of [T^2*, T^2]: products on a window inflated past the squared bandwidth."""
-    S = square_window(phi, W + 4 * phi.bandwidth() + 4)
-    nW = phi.n * W
-    return S[:, :nW].conj().T @ S[:, :nW] - S[:nW] @ S[:nW].conj().T
+    return _decide_window(phi, (2,), W, psd_tol)
 
 
 # -- normal non-Toeplitz completion of the double conjugate-shift corner ------

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from blocktoeplitz import operators as op, suites
+from blocktoeplitz import decide as dc, operators as op, suites
 from blocktoeplitz.operators import (
     completion_selfadjoint_part,
     hankel_window,
@@ -26,8 +26,15 @@ def random_symbol(rng, n=1, m=2, N=2):
 
 
 def hankel_difference(phi, W):
-    """H_{Phi*}* H_{Phi*} - H_Phi* H_Phi on the W-window, as the library forms it."""
-    return op._hankel_difference(phi, phi.star(), W)
+    """H_{Phi*}* H_{Phi*} - H_Phi* H_Phi on the W-window, from the Hankel windows."""
+    Hs, H = hankel_window(phi.star(), W).block, hankel_window(phi, W).block
+    return Hs.conj().T @ Hs - H.conj().T @ H
+
+
+def square_window(phi, W):
+    """The W-window of T_Phi^2 = T_{Phi^2} - H_{Phi*}* H_Phi."""
+    Hs, H = hankel_window(phi.star(), W).block, hankel_window(phi, W).block
+    return toeplitz_window(phi * phi, W).block - Hs.conj().T @ H
 
 
 def test_toeplitz_window_examples():
@@ -277,14 +284,16 @@ def support_corner(phi, k):
 
 
 def assert_matches_full_window(rep, full, W):
-    """Verdict and lambda_min of the full W-window, and a witness of that window's order."""
+    """Verdict and lambda_min of the full W-window, and a witness of that window's order, both
+    within the rounding bound 8*eps*order*||H||_2 of the window's Hermitian part H."""
     ref = positivity_report(full, W)
+    Hm = 0.5 * (full + full.conj().T)
+    bound = 8 * np.finfo(float).eps * full.shape[0] * np.linalg.norm(Hm, 2)
     assert rep.verdict == ref.verdict and rep.window == W
-    assert abs(rep.min_eigenvalue - ref.min_eigenvalue) <= 1e-9 * max(1.0, abs(ref.min_eigenvalue))
+    assert abs(rep.min_eigenvalue - ref.min_eigenvalue) <= bound
     if rep.witness is not None:
         assert rep.witness.shape == (full.shape[0],)
-        Hm = 0.5 * (full + full.conj().T)
-        assert np.linalg.norm(Hm @ rep.witness - rep.min_eigenvalue * rep.witness) <= 1e-8
+        assert np.linalg.norm(Hm @ rep.witness - rep.min_eigenvalue * rep.witness) <= bound
 
 
 @pytest.mark.parametrize("kind", ["scalar", "unitary", "analytic", "coanalytic"])
@@ -295,7 +304,7 @@ def test_k_hypo_above_support_corner_matches_full_window(kind):
         W = support_corner(phi, k) + 3
         rep = k_hypo_window(phi, k, W)
         assert rep.exact
-        assert_matches_full_window(rep, op._power_commutators(phi, k, W), W)
+        assert_matches_full_window(rep, dense_window(phi, k, W), W)
 
 
 @pytest.mark.parametrize("kind", ["scalar", "unitary", "analytic", "coanalytic"])
@@ -304,16 +313,15 @@ def test_square_hypo_above_support_corner_matches_full_window(kind):
     W = support_corner(phi, 2) + 5
     rep = square_hypo_window(phi, W)
     assert rep.exact
-    assert_matches_full_window(rep, op._square_commutator(phi, W), W)
+    assert_matches_full_window(rep, dense_window(phi, None, W), W)
 
 
 @pytest.mark.parametrize("kind", ["scalar", "unitary", "analytic", "coanalytic", "gap"])
 def test_tight_corner_decisions_match_full_windows(kind):
-    # every window from just below W_t to just above W* = k(bw + m + N), the corner before;
-    # halved, so that k = 4 windows stay within the check's absolute lambda and residual bounds
+    # every window from just below W_t to just above W* = k(bw + m + N), the corner before
     rng = np.random.default_rng(43)
     for k in (1, 2, 3, 4, None):
-        phi = GAP if kind == "gap" else 0.5 * normal_symbol(rng, kind)
+        phi = GAP if kind == "gap" else normal_symbol(rng, kind)
         bw = phi.bandwidth()
         Wt = support_corner(phi, k or 2)
         L, D = op._support(phi, k or 2)
@@ -349,10 +357,10 @@ def test_nonnormal_symbol_is_assembled_at_the_window_and_not_exact():
     for k, W in ((1, 9), (2, 12)):
         rep = k_hypo_window(NONNORMAL, k, W)
         assert not rep.exact
-        assert_matches_full_window(rep, op._power_commutators(NONNORMAL, k, W), W)
+        assert_matches_full_window(rep, dense_window(NONNORMAL, k, W), W)
     rep = square_hypo_window(NONNORMAL, 14)
     assert not rep.exact
-    assert_matches_full_window(rep, op._square_commutator(NONNORMAL, 14), 14)
+    assert_matches_full_window(rep, dense_window(NONNORMAL, None, 14), 14)
 
 
 def test_certified_path_solves_only_the_support_corner(monkeypatch):
@@ -386,16 +394,38 @@ def test_huge_window_refused_unless_decided_on_the_corner():
     assert abs(rep.min_eigenvalue - k_hypo_window(GAP, 2, 10).min_eigenvalue) <= 1e-9
 
 
-def test_corner_hankel_products_match_dense_products():
-    rng = np.random.default_rng(42)
-    for m, N, W in ((3, 1, 6), (1, 3, 6), (4, 2, 3), (0, 2, 4)):
-        phi = random_symbol(rng, n=2, m=m, N=N)
-        Hs = hankel_window(phi.star(), W).block
-        H = hankel_window(phi, W).block
-        np.testing.assert_allclose(hankel_difference(phi, W),
-                                   Hs.conj().T @ Hs - H.conj().T @ H, atol=1e-12)
-        np.testing.assert_allclose(op.square_window(phi, W),
-                                   toeplitz_window(phi * phi, W).block - Hs.conj().T @ H, atol=1e-12)
+def wide_products(phi, powers, W):
+    """The block window of `powers` from products on W + 4k*bw + 9 modes, k = max(powers): far
+    past the inflation W + k*bw that the assembler uses."""
+    T = toeplitz_window(phi, W + 4 * max(powers) * phi.bandwidth() + 9).block
+    P = {p: np.linalg.matrix_power(T, p) for p in powers}
+    nW = phi.n * W
+    return np.block([[P[q].conj().T[:nW] @ P[p][:, :nW] - P[p][:nW] @ P[q].conj().T[:, :nW]
+                      for q in powers] for p in powers])
+
+
+def assert_close_to(got, ref):
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_one_assembler_is_exact_on_its_inflation(n):
+    # every (m, N) with m, N <= 3, windows from bw + 1; k = 1..3 and the square test
+    rng = np.random.default_rng(42 + n)
+    for m in range(4):
+        for N in range(4):
+            phi = random_symbol(rng, n=n, m=m, N=N)
+            bw = max(m, N)
+            for W in (bw + 1, bw + 3):
+                for powers in (range(1, 2), range(1, 3), range(1, 4), (2,)):
+                    assert_close_to(op._power_commutators(phi, powers, W), wide_products(phi, powers, W))
+                star = phi.star()
+                assert_close_to(op._power_commutators(phi, (1,), W), hankel_difference(phi, W)
+                                + toeplitz_window(star * phi - phi * star, W).block)
+                S, nW = square_window(phi, W + 4 * bw + 4), n * W  # T^2 on an exact inflation
+                assert_close_to(op._power_commutators(phi, (2,), W),
+                                S[:, :nW].conj().T @ S[:, :nW] - S[:nW] @ S[:nW].conj().T)
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -433,26 +463,24 @@ def test_selfcommutator_huge_window_refused_up_front():
 
 
 def test_selfcommutator_assembles_once_at_the_window(monkeypatch):
-    built = []
-    hankel_difference, toeplitz = op._hankel_difference, op.toeplitz_window
-
-    def recording_hankel_difference(phi, star, W):
-        built.append(("hankel", W))
-        return hankel_difference(phi, star, W)
-
-    def recording_toeplitz(phi, W):
-        built.append(("toeplitz", W))
-        return toeplitz(phi, W)
-
-    monkeypatch.setattr(op, "_hankel_difference", recording_hankel_difference)
-    monkeypatch.setattr(op, "toeplitz_window", recording_toeplitz)
+    windows = recording_assemblies(monkeypatch)
     com = selfcommutator_exact(NONNORMAL, 5)
-    assert built == [("hankel", 5), ("toeplitz", 5)]
+    assert windows == [((1,), 5)]
     assert com.window == 5 and not com.exact and com.block.flags.c_contiguous
-    monkeypatch.undo()
     star = NONNORMAL.star()
-    np.testing.assert_array_equal(com.block, op._hankel_difference(NONNORMAL, star, 5)
-                                  + toeplitz_window(star * NONNORMAL - NONNORMAL * star, 5).block)
+    assert_close_to(com.block, hankel_difference(NONNORMAL, 5)
+                    + toeplitz_window(star * NONNORMAL - NONNORMAL * star, 5).block)
+    # a normal symbol's commutator is assembled on its bw-corner and zero-padded to the window;
+    # the window oracle is the k = 1 test on m + N + 1 modes, assembled on the same corner
+    phi = Symbol.scalar({-2: 1, 1: 2})
+    windows.clear()
+    com = selfcommutator_exact(phi, 6)
+    assert windows == [((1,), 2)] and com.window == 6 and com.exact
+    assert not com.block[2:].any() and not com.block[:, 2:].any()
+    assert_close_to(com.block, hankel_difference(phi, 6))
+    windows.clear()
+    rep = dc._window_oracle(phi)
+    assert windows == [((1,), 2)] and rep.window == 4 and rep.exact and rep.verdict == "NotPSD"
 
 
 def test_selfcommutator_window_below_bandwidth_refused():
@@ -491,9 +519,14 @@ def seeded_symbol(n, m, N):
     return 0.5 * random_symbol(np.random.default_rng(100 + 9 * n + 3 * m + N), n=n, m=m, N=N)
 
 
+def powers_of(k):
+    """The powers of the k-test, or of the square test for k None."""
+    return (2,) if k is None else tuple(range(1, k + 1))
+
+
 def dense_window(phi, k, W):
     """The dense W-window of the k-test, or of the square test for k None."""
-    return op._square_commutator(phi, W) if k is None else op._power_commutators(phi, k, W)
+    return op._power_commutators(phi, powers_of(k), W)
 
 
 def decide_and_assemble(phi, k, W, **tols):
@@ -613,8 +646,7 @@ def assert_same_lambda_complex_witness(rep, ref):
 
 def test_real_dense_window_is_solved_in_real_arithmetic(monkeypatch):
     dtypes = recording_dtypes(monkeypatch, np.linalg, "eigh")
-    for window, W in ((op._power_commutators(GAP, 2, 12), 12),
-                      (op._square_commutator(NONNORMAL, 6), 6)):
+    for window, W in ((dense_window(GAP, 2, 12), 12), (dense_window(NONNORMAL, None, 6), 6)):
         dtypes.clear()
         rep, ref = solved_both_ways(monkeypatch, lambda: positivity_report(window, W))
         assert dtypes == [np.float64, np.complex128]
@@ -637,7 +669,7 @@ def test_real_band_is_solved_in_real_arithmetic(monkeypatch):
         assert_same_lambda_complex_witness(rep, ref)
         assert_matches_full_window(rep, dense_window(NONNORMAL, k, 40), 40)
     L, D = op._support(NONNORMAL, 2)
-    support = op._power_commutators(NONNORMAL, 2, L + D + 1)
+    support = dense_window(NONNORMAL, 2, L + D + 1)
     support[0, 1] += 1e-3j  # one imaginary entry: solved in complex
     dtypes.clear()
     op._band_report(support, 2, 2, 40, L, D, op.PSD_TOL)
@@ -645,20 +677,15 @@ def test_real_band_is_solved_in_real_arithmetic(monkeypatch):
 
 
 def recording_assemblies(monkeypatch):
-    """The windows at which the k-test and the square test assemble, in call order."""
+    """The (powers, window) of each call of the one commutator assembler, in call order."""
     windows = []
-    power, square = op._power_commutators, op._square_commutator
+    assemble = op._power_commutators
 
-    def recording_power(phi, k, W):
-        windows.append(W)
-        return power(phi, k, W)
+    def recording_assemble(phi, powers, W):
+        windows.append((tuple(powers), W))
+        return assemble(phi, powers, W)
 
-    def recording_square(phi, W):
-        windows.append(W)
-        return square(phi, W)
-
-    monkeypatch.setattr(op, "_power_commutators", recording_power)
-    monkeypatch.setattr(op, "_square_commutator", recording_square)
+    monkeypatch.setattr(op, "_power_commutators", recording_assemble)
     return windows
 
 
@@ -674,7 +701,7 @@ def test_nonnormal_branch_assembles_once_past_the_support_corner(monkeypatch):
         rep = k_hypo_window(NONNORMAL, k, 128) if k else square_hypo_window(NONNORMAL, 128)
         L, D = op._support(NONNORMAL, k or 2)
         assert not rep.exact and rep.verdict == "NotPSD"
-        assert windows == [L + D + 1]
+        assert windows == [(powers_of(k), L + D + 1)]
 
 
 def test_normal_symbol_assembles_once_at_the_support_corner(monkeypatch):
@@ -685,9 +712,9 @@ def test_normal_symbol_assembles_once_at_the_support_corner(monkeypatch):
             windows.clear()
             rep = k_hypo_window(GAP, k, W)
             assert rep.exact and rep.window == W
-            assert windows == [support_corner(GAP, k)]
+            assert windows == [(powers_of(k), support_corner(GAP, k))]
     # a tight corner over budget (W_t = 95, dense order 9120) is not assembled: the
     # W-window is decided alone and is not exact
     windows.clear()
     rep = k_hypo_window(Symbol(2, {-1: 0.5 * np.eye(2), 1: 0.5 * np.eye(2)}), 48, 2)
-    assert windows == [2] and not rep.exact and rep.verdict == "PSD"
+    assert windows == [(powers_of(48), 2)] and not rep.exact and rep.verdict == "PSD"
