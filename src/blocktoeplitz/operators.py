@@ -289,9 +289,8 @@ def _decide_window(phi, powers, W, psd_tol):
     """Positivity of the block window of `powers` (see `_power_commutators`) of order
     len(powers)*n*W, with W_t, L and D those of the k-test for k = max(powers).
 
-    It is assembled once, on the inflation W + max(powers)*bw of its
-    window: at W_t for a normal symbol, at W or, to gather a non-normal
-    window above W* = L + D, at W* + 1; see `k_hypo_window`.
+    It is assembled once: at W_t for a normal symbol, at W or, to gather
+    a non-normal window above W* = L + D, at W* + 1; see `k_hypo_window`.
     """
     k, n, top = len(powers), phi.n, max(powers)
     corner, (L, D), pad = _tight_corner(phi, top), _support(phi, top), top * phi.bandwidth()
