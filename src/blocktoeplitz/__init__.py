@@ -26,7 +26,6 @@ from .operators import (
     WindowedOperator,
     PositivityReport,
     toeplitz_window,
-    hankel_window,
     selfcommutator_exact,
     k_hypo_window,
     square_hypo_window,

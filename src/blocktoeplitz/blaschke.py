@@ -143,7 +143,7 @@ def coanalytic_decompose(f: RationalFn) -> tuple[BlaschkeProduct, RationalFn]:
             raise ValueError("reflection without interior poles on a nonconstant input")
         return BlaschkeProduct.one(), RationalFn([np.conj(f.num[0] / f.den[0])])
     lead = refl.den[-1]
-    clusters = _cluster_roots(np.roots(refl.den[::-1]))
+    clusters = _cluster_roots(refl.poles())
     for g, _ in clusters:
         if abs(g) >= 1.0:
             raise ValueError("reflection produced a pole outside the disk")

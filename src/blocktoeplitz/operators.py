@@ -1,4 +1,4 @@
-"""Exact finite windows of Toeplitz/Hankel operators and positivity tests.
+"""Exact finite windows of Toeplitz operators and their commutators, and positivity tests.
 
 For trigonometric-polynomial symbols Toeplitz operators are banded, so
 one routine, `_power_commutators`, assembles every commutator window
@@ -74,19 +74,6 @@ def toeplitz_window(phi: Symbol, W: int) -> WindowedOperator:
     T = np.empty((W, n, W, n), dtype=complex)
     T[...] = _hankel_view(r, W)[::-1]
     return WindowedOperator(W, n, T.reshape(n * W, n * W), exact=False)
-
-
-def hankel_window(phi: Symbol, W: int) -> WindowedOperator:
-    """Block (i, j) = A_{-i-j-1}; exact once W exceeds the co-analytic bandwidth."""
-    if W < 1:
-        raise ValueError("window must be >= 1")
-    n = phi.n
-    m, _ = phi.degree_bounds()
-    k = min(W, m)  # A_{-i-j-1} vanishes for i + j >= m: only the leading k x k blocks are nonzero
-    H = np.zeros((W, n, W, n), dtype=complex)
-    if k:
-        H[:k, :, :k] = _hankel_view(phi.coeffs(-(2 * k - 1), -1)[::-1], k)  # h[s] = A_{-s-1}
-    return WindowedOperator(W, n, H.reshape(n * W, n * W), exact=(W >= m))
 
 
 def _hankel_view(h, W):

@@ -9,10 +9,14 @@ here are used in two regimes:
 * circle reflections f*(z) = conj(f(1/conj(z))), whose poles sit inside
   the disk and encode the inner parts of co-analytic entries.
 
-Arithmetic is `np.convolve` on the stored ascending coefficient arrays
-(the convolution of reversed sequences is the reversed convolution, so
-no reversal and no `poly1d` round trip is needed); degrees in this
-problem domain stay in the single digits.
+Arithmetic is `np.convolve` on the ascending arrays, whose convolution
+is that of the reversed ones reversed; degrees in this problem domain
+stay in the single digits.  Every root comes from one finder, `_roots`:
+it returns np.roots' output bit for bit, and solves degree 1, most of
+the calls, by the one division LAPACK makes for a 1 x 1 companion
+matrix.  `fourier_coeffs` runs its recurrence on Python complex numbers
+at a fraction of numpy scalars' cost per term; they multiply alike, and
+divide alike by an exact 1, so any other q(0) stays a numpy scalar.
 """
 
 from __future__ import annotations
@@ -97,7 +101,7 @@ class RationalFn:
         """Roots of the denominator, with numpy multiplicity semantics."""
         if self.is_poly:
             return np.array([], dtype=complex)
-        return np.roots(self.den[::-1])
+        return _roots(self.den)
 
     # -- arithmetic ------------------------------------------------------
     def __add__(self, other):
@@ -176,19 +180,20 @@ class RationalFn:
         if self.is_poly:
             return self.poly_coeffs()
         rho = 1.0 / r
-        p, q = self.num, self.den
+        p, q = self.num.tolist(), self.den.tolist()
+        lp, lq, q0 = len(p), len(q), q[0] if q[0] == 1 else self.den[0]
         coeffs = []
         j = 0
         recent = 0.0
         while j < 100000:
-            s = p[j] if j < len(p) else 0.0
-            for l in range(1, min(j, len(q) - 1) + 1):
+            s = p[j] if j < lp else 0.0
+            for l in range(1, min(j, lq - 1) + 1):
                 s -= q[l] * coeffs[j - l]
-            c = s / q[0]
+            c = s / q0
             coeffs.append(c)
             recent = max(abs(c), recent * rho)
             j += 1
-            if j > len(p) and recent * rho / (1.0 - rho) < tail_tol:
+            if j > lp and recent * rho / (1.0 - rho) < tail_tol:
                 break
         return _trim(np.array(coeffs, dtype=complex))
 
@@ -217,10 +222,18 @@ def _taylor_shift(c, z0):
     return out
 
 
+def _roots(c):
+    """`np.roots(c[::-1])` for ascending coefficients c, bit for bit (see the module docstring)."""
+    nz = np.flatnonzero(c)
+    if len(nz) == 2 and nz[1] - nz[0] == 1:
+        return np.concatenate([[-c[nz[0]] / c[nz[1]]], np.zeros(nz[0])])
+    return np.roots(c[::-1])
+
+
 def _cancel_common_roots(p, q, tol):
     """Divide out numerator/denominator roots that agree within tol."""
-    rp = list(np.roots(p[::-1]))
-    rq = list(np.roots(q[::-1]))
+    rp = list(_roots(p))
+    rq = list(_roots(q))
     lead_p = p[-1]
     lead_q = q[-1]
     changed = False

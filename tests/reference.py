@@ -8,7 +8,8 @@ from math import comb
 
 import numpy as np
 
-from blocktoeplitz.operators import hankel_window
+from blocktoeplitz.operators import WindowedOperator, _hankel_view
+from blocktoeplitz.rational import RationalFn, _trim
 from blocktoeplitz.symbols import Symbol
 
 
@@ -27,6 +28,44 @@ def sup_norm(phi: Symbol, grid=None):
     t = 2 * np.pi * np.arange(grid) / grid
     vals = phi.eval_circle(t)
     return float(np.max(np.linalg.norm(vals, ord=2, axis=(1, 2))))
+
+
+def hankel_window(phi: Symbol, W: int) -> WindowedOperator:
+    """Block (i, j) = A_{-i-j-1}; exact once W exceeds the co-analytic bandwidth."""
+    if W < 1:
+        raise ValueError("window must be >= 1")
+    n = phi.n
+    m, _ = phi.degree_bounds()
+    k = min(W, m)  # A_{-i-j-1} vanishes for i + j >= m: only the leading k x k blocks are nonzero
+    H = np.zeros((W, n, W, n), dtype=complex)
+    if k:
+        H[:k, :, :k] = _hankel_view(phi.coeffs(-(2 * k - 1), -1)[::-1], k)  # h[s] = A_{-s-1}
+    return WindowedOperator(W, n, H.reshape(n * W, n * W), exact=(W >= m))
+
+
+def fourier_coeffs(f: RationalFn, tail_tol=1e-14):
+    """`RationalFn.fourier_coeffs` as a recurrence on numpy scalars, term for term."""
+    r = f.min_pole_radius()
+    if r <= 1.0 + 1e-12:
+        raise ValueError("pole in the closed unit disk; no analytic Fourier expansion")
+    if f.is_poly:
+        return f.poly_coeffs()
+    rho = 1.0 / r
+    p, q = f.num, f.den
+    coeffs = []
+    j = 0
+    recent = 0.0
+    while j < 100000:
+        s = p[j] if j < len(p) else 0.0
+        for l in range(1, min(j, len(q) - 1) + 1):
+            s -= q[l] * coeffs[j - l]
+        c = s / q[0]
+        coeffs.append(c)
+        recent = max(abs(c), recent * rho)
+        j += 1
+        if j > len(p) and recent * rho / (1.0 - rho) < tail_tol:
+            break
+    return _trim(np.array(coeffs, dtype=complex))
 
 
 def tilde(phi: Symbol):

@@ -174,6 +174,17 @@ def test_classify_normal():
     assert v.tag == "Normal"
 
 
+@pytest.mark.parametrize("index, tag", [(1, "Normal"), (0, "Neither")])
+def test_classify_reads_normality_once(monkeypatch, index, tag):
+    # Phi* Phi - Phi Phi* is formed once per symbol: the Normal tag's commutator window and the
+    # Neither tag's hyponormality gate read the defect the classifier stored
+    R = suites.random_coprime_rational_symbol(np.random.default_rng([4, index]))
+    products, mul = [], Symbol.__mul__
+    monkeypatch.setattr(Symbol, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+    assert classify_normal_or_analytic(R).tag == tag
+    assert len(products) == 2
+
+
 def test_classifier_harness_sample():
     rows, ok = suites.classifier_harness(cases=25, seed=3)
     assert ok

@@ -4,7 +4,6 @@ import pytest
 from blocktoeplitz import decide as dc, operators as op, suites
 from blocktoeplitz.operators import (
     completion_selfadjoint_part,
-    hankel_window,
     k_hypo_window,
     normal_nontoeplitz_completion,
     positivity_report,
@@ -13,7 +12,7 @@ from blocktoeplitz.operators import (
     toeplitz_window,
 )
 from blocktoeplitz.symbols import Symbol
-from reference import is_constant_diagonal, tilde
+from reference import hankel_window, is_constant_diagonal, tilde
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
 
-from blocktoeplitz.rational import RationalFn, mul_ascending, poly_from_roots, polyval_ascending, reflected_product
+from blocktoeplitz import suites
+from blocktoeplitz.rational import (RationalFn, _roots, mul_ascending, poly_from_roots, polyval_ascending,
+                                    reflected_product)
+from blocktoeplitz.symbols import TAIL_TOL, RationalSymbol
+from reference import fourier_coeffs
 
 
 def cauchy_jets(f, z0, order, radius=0.3, grid=4096):
@@ -84,6 +88,48 @@ def test_fourier_coeffs_match_fft():
     # reconstruction error sits at the coefficient drop tolerance
     recon = sum(ck * np.exp(1j * k * t) for k, ck in enumerate(c))
     assert np.max(np.abs(recon - vals)) < 5e-12
+
+
+def _same(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_roots_matches_numpy_bitwise():
+    rng = np.random.default_rng(7)
+    polys = [np.zeros(k, dtype=complex) for k in range(1, 4)]
+    for _ in range(3000):
+        c = rng.standard_normal(int(rng.integers(1, 8))) * np.exp(rng.uniform(-8, 8))
+        if rng.random() < 0.7:
+            c = c + 1j * rng.standard_normal(len(c))
+        c[rng.random(len(c)) < 0.3] = 0  # zero leading, trailing and inner coefficients
+        polys.append(c)
+    degrees = set()
+    for c in polys:
+        nz = np.flatnonzero(c)
+        degrees.add(int(nz[-1] - nz[0]) if len(nz) else -1)
+        assert _same(_roots(c), np.roots(c[::-1])), c
+    assert degrees == set(range(-1, 7))
+
+
+def _pole_family(m):
+    """Co-analytic part z/(1 - z/2)^m, analytic part 3 z^3/(1 - z/2)^m: the bench's repeated poles."""
+    den = np.array([1.0 + 0j])
+    for _ in range(m):
+        den = np.convolve(den, [1.0, -0.5])
+    return RationalSymbol(1, [[RationalFn([0, 0, 0, 3.0], den)]], [[RationalFn([0, 1.0], den)]])
+
+
+def test_fourier_coeffs_matches_reference_recurrence():
+    # the recurrence on Python scalars emits numpy's bytes, on every entry of the classifier draws
+    # and of the repeated-pole family, and on a denominator normalized to 0.9999999999999999
+    symbols = [suites.random_coprime_rational_symbol(np.random.default_rng([4, i])) for i in range(100)]
+    symbols += [_pole_family(m) for m in range(1, 6)]
+    fns = [f for R in symbols for side in (R.plus, R.minus) for row in side for f in row]
+    inexact = RationalFn([1.0, 2.0, 0.5j], [49.0, -1.0])
+    assert inexact.den[0] != 1
+    for f in fns + [inexact]:
+        assert _same(f.fourier_coeffs(TAIL_TOL), fourier_coeffs(f, TAIL_TOL))
+    assert sum(not f.is_poly for f in fns) > 100
 
 
 def test_fourier_rejects_interior_pole():
