@@ -2,7 +2,9 @@
 
 Only scalar Blaschke products appear: the diagonal inner matrices used
 downstream are theta * I_n, so zero-multiset arithmetic (LCM,
-divisibility, quotient) is all that is needed.  Zeros match by one rule,
+divisibility, quotient) is all that is needed.  A product is fixed by
+its zeros up to a unimodular constant, which the outer factor absorbs,
+so every product here has the constant 1.  Zeros match by one rule,
 `multiplicity_at`: the first listed zero within MATCH_TOL, the rule
 `__post_init__` merges by; degrees in scope stay small enough that
 clustering is unambiguous.
@@ -10,7 +12,7 @@ clustering is unambiguous.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,16 +24,11 @@ COPRIME_CUTOFF = 1e-9
 
 @dataclass
 class BlaschkeProduct:
-    """unimodular * prod ((z - a_i)/(1 - conj(a_i) z))^{m_i}, |a_i| < 1."""
+    """prod ((z - a_i)/(1 - conj(a_i) z))^{m_i}, |a_i| < 1, held as its merged zero multiset."""
 
-    unimodular: complex = 1.0 + 0.0j
-    zeros: list = field(default_factory=list)  # [(alpha, mult)]
+    zeros: list  # [(alpha, mult)]
 
     def __post_init__(self):
-        u = complex(self.unimodular)
-        if abs(abs(u) - 1.0) > 1e-9:
-            raise ValueError(f"constant factor not unimodular: |u| = {abs(u)}")
-        self.unimodular = u / abs(u)
         merged = []
         for a, m in self.zeros:
             a = complex(a)
@@ -65,26 +62,12 @@ class BlaschkeProduct:
                 return m
         return 0
 
-    # -- evaluation ----------------------------------------------------------
-    def __call__(self, z):
-        z = np.asarray(z, dtype=complex)
-        out = np.full(z.shape, self.unimodular, dtype=complex)
-        for a, m in self.zeros:
-            out = out * ((z - a) / (1.0 - np.conj(a) * z)) ** m
-        return out if out.shape else complex(out)
-
     def as_rational(self) -> RationalFn:
-        """The quotient u prod (z - a) / prod (1 - conj(a) z) over the zeros with multiplicity."""
+        """The quotient prod (z - a) / prod (1 - conj(a) z) over the zeros with multiplicity."""
         roots = self.zero_list()
-        return RationalFn(poly_from_roots(roots, lead=self.unimodular), reflected_product(roots))
+        return RationalFn(poly_from_roots(roots), reflected_product(roots))
 
     # -- multiset arithmetic ---------------------------------------------------
-    def __mul__(self, other):
-        return BlaschkeProduct(
-            self.unimodular * other.unimodular,
-            self.zeros + other.zeros,
-        )
-
     def quotient(self, other):
         """self / other, requiring other to divide self."""
         if not divides(other, self):
@@ -94,18 +77,14 @@ class BlaschkeProduct:
             m2 = m - other.multiplicity_at(a)
             if m2 > 0:
                 zs.append((a, m2))
-        return BlaschkeProduct(self.unimodular / other.unimodular, zs)
-
-    @classmethod
-    def one(cls):
-        return cls(1.0, [])
+        return BlaschkeProduct(zs)
 
 
 def lcm(t1: BlaschkeProduct, t2: BlaschkeProduct):
     """Least common multiple: t1's zeros, plus each zero a of t2 with the multiplicity
     m - t1.multiplicity_at(a) wherever that is positive."""
     extra = [(a, k) for a, m in t2.zeros if (k := m - t1.multiplicity_at(a)) > 0]
-    return BlaschkeProduct(1.0, t1.zeros + extra)
+    return BlaschkeProduct(t1.zeros + extra)
 
 
 def divides(t2: BlaschkeProduct, t1: BlaschkeProduct):
@@ -130,7 +109,7 @@ def coanalytic_decompose(f: RationalFn) -> tuple[BlaschkeProduct, RationalFn]:
     root-found and its roots clustered.
     """
     if f.is_zero():
-        return BlaschkeProduct.one(), RationalFn([0.0])
+        return BlaschkeProduct([]), RationalFn([0.0])
     r = f.min_pole_radius()
     if r <= 1.0 + 1e-12:
         raise ValueError("co-analytic part is not rational-representable: pole in the closed disk")
@@ -141,13 +120,13 @@ def coanalytic_decompose(f: RationalFn) -> tuple[BlaschkeProduct, RationalFn]:
         # no interior pole: f is constant, with trivial inner part
         if f.degree_num() > 0 or not f.is_poly:
             raise ValueError("reflection without interior poles on a nonconstant input")
-        return BlaschkeProduct.one(), RationalFn([np.conj(f.num[0] / f.den[0])])
+        return BlaschkeProduct([]), RationalFn([np.conj(f.num[0] / f.den[0])])
     lead = refl.den[-1]
     clusters = _cluster_roots(refl.poles())
     for g, _ in clusters:
         if abs(g) >= 1.0:
             raise ValueError("reflection produced a pole outside the disk")
-    theta = BlaschkeProduct(1.0, clusters)
+    theta = BlaschkeProduct(clusters)
     # With den(z) = lead * prod (z - g), theta/den = 1/(lead * prod (1 - conj(g) z)),
     # so b = refl * theta has the closed form below; no inexact cancellation.
     b = RationalFn(refl.num / lead, reflected_product(theta.zero_list()))

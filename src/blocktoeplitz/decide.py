@@ -21,7 +21,7 @@ from . import blaschke as bl
 from . import modelspace as ms
 from . import operators as op
 from .rational import RationalFn
-from .symbols import Symbol, RationalSymbol, _prune, is_normal_symbol
+from .symbols import Symbol, RationalSymbol, is_normal_symbol
 
 CONTRACT_TOL = 1e-9
 MARGINAL_TOL = 1e-6
@@ -47,7 +47,7 @@ class HypoFactorization:
 
     @property
     def theta_full(self):
-        return self.theta1 * self.theta0
+        return bl.BlaschkeProduct(self.theta1.zeros + self.theta0.zeros)
 
 
 @dataclass
@@ -98,7 +98,7 @@ class DivisibilityError(ValueError):
 def _side_inner_lcm(entries):
     """Per-entry coprime decompositions and their least common inner multiple."""
     parts = [[bl.coanalytic_decompose(f) for f in row] for row in entries]
-    lcm = bl.BlaschkeProduct.one()
+    lcm = bl.BlaschkeProduct([])
     for row in parts:
         for theta, _ in row:
             lcm = bl.lcm(lcm, theta)
@@ -158,8 +158,8 @@ class _ShiftRoute:
     """A trigonometric polynomial sum_{j=-m}^{N} A_j z^j, decided on its coefficient stack.
 
     Every inner factor is z^N, so the one node is 0 and the model is the
-    nilpotent shift S on C^N.  Coefficients are pruned entrywise as in
-    `RationalSymbol.from_symbol`, so both routes solve the same numbers.
+    nilpotent shift S on C^N.  Both routes read the entries `Symbol`
+    pruned, so they solve the same numbers.
     """
 
     def __init__(self, S):
@@ -169,7 +169,7 @@ class _ShiftRoute:
 
     def coanalytic_coprime(self):
         """(ok, marginal) for the inner part z^m, whose outer factor is A_{-m} at 0."""
-        return bl.coprime_matrix_check([_prune(self.S.coeff(-self.m))])
+        return bl.coprime_matrix_check([self.S.coeff(-self.m)])
 
     def factor(self):
         """The model degree N, or DivisibilityError when z^m does not divide z^N."""
@@ -181,7 +181,7 @@ class _ShiftRoute:
         """(K, least-squares nodes) from sum_{i=0}^{N-j} K_i A_{i+j}^* = A_{-j}, j = N..1: the node
         system at 0 with jets A_N^*, ..., A_1^* and A_{-N}, ..., A_{-1}, whose jets are K's coefficients."""
         N = self.N
-        C = _prune(self.S.coeffs(-N, N))
+        C = self.S.coeffs(-N, N)
         self.outer = C[:N:-1].transpose(0, 2, 1).conj()
         Ks, lsq = ms.solve_node(0j, self.outer, C[:N], self.S.n)
         return Symbol.from_coeffs(0, Ks), [0] if lsq else []
@@ -306,9 +306,11 @@ def _window_oracle(S: Symbol):
 
 
 def commutator_max_entry(S: Symbol):
-    """(max |entry|, vanishes) of the exact self-commutator of S, against NORMAL_TOL."""
+    """(figure, vanishes) of the exact self-commutator of S against NORMAL_TOL: its largest entry
+    to four digits, or the cutoff when it vanishes, since below that the figure is rounding noise."""
     worst = float(np.max(np.abs(op.selfcommutator_exact(S).block)))
-    return worst, worst <= NORMAL_TOL
+    vanishes = worst <= NORMAL_TOL
+    return f"<= {NORMAL_TOL:.3e}" if vanishes else f"{worst:.3e}", vanishes
 
 
 def classify_normal_or_analytic(phi) -> Verdict:
@@ -379,8 +381,8 @@ def complete_ustar(phi: Symbol, psi: Symbol, window=24) -> Verdict:
     member, family = _family_membership(phi, psi, 1e-9)
     big = double_conjugate_shift_symbol(phi, psi)
     if member:
-        worst, vanishes = commutator_max_entry(big)
-        notes = [f"family {family} parameters; commutator max entry {worst:.3e}"]
+        figure, vanishes = commutator_max_entry(big)
+        notes = [f"family {family} parameters; commutator max entry {figure}"]
         if vanishes:
             return Verdict("Normal", family=family, notes=notes)
         return Verdict("Inconclusive", family=family,

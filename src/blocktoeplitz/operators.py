@@ -133,7 +133,8 @@ def selfcommutator_exact(phi: Symbol, W: int | None = None) -> WindowedOperator:
         W = m + N + 1
     if W < max(m, N):
         raise ValueError(f"window {W} too small for bandwidth {max(m, N)}")
-    _refuse_over_budget(phi.n, (1,), W, W + max(m, N))
+    _refuse(_window_bytes(phi.n, (1,), W, W + max(m, N)),
+            f"window {W} (k=1, n={phi.n}, dense order {phi.n * W})")
     corner = _tight_corner(phi, 1)
     V = W if corner is None else min(W, corner)
     block = np.zeros((phi.n * W, phi.n * W), dtype=complex)
@@ -192,12 +193,11 @@ def _window_bytes(n, powers, W, B, V=0):
     return 16 * (2 * max(powers) * (n * B) ** 2 + corner + 8 * (k * n * W) ** 2)
 
 
-def _refuse_over_budget(n, powers, W, B):
-    """Raise ValueError when `_window_bytes` exceeds MAX_WINDOW_BYTES."""
-    nbytes, k = _window_bytes(n, powers, W, B), len(powers)
+def _refuse(nbytes, what):
+    """Raise ValueError, naming the window `what`, when `nbytes` exceed MAX_WINDOW_BYTES."""
     if nbytes > MAX_WINDOW_BYTES:
-        raise ValueError(f"window {W} (k={k}, n={n}, dense order {k * n * W}) needs about "
-                         f"{nbytes / 2**30:.3g} GiB, over the {MAX_WINDOW_BYTES / 2**30:.3g} GiB budget")
+        raise ValueError(f"{what} needs about {nbytes / 2**30:.3g} GiB, "
+                         f"over the {MAX_WINDOW_BYTES / 2**30:.3g} GiB budget")
 
 
 def _support(phi: Symbol, k: int):
@@ -284,12 +284,11 @@ def _decide_window(phi, powers, W, psd_tol):
     V = W if corner is None else corner
     if V > W and _window_bytes(n, powers, W, V + pad, V) > MAX_WINDOW_BYTES:
         V, corner = W, None  # the tight corner is over budget: the W-window alone, not exact
+    if V <= W:  # a corner above W was charged above; a band is held to the dense W-window's cap
+        _refuse(_window_bytes(n, powers, V, V + pad), f"window {V} (k={k}, n={n}, dense order {k * n * V})")
     if corner is None and W > L + D:  # no window is exact: gather the band from the support
-        _refuse_over_budget(n, powers, W, W + pad)  # the cap the dense W-window was held to
         rep = _band_report(_power_commutators(phi, powers, L + D + 1), k, n, W, L, D, psd_tol)
     else:
-        if V <= W:  # a corner above W was charged above
-            _refuse_over_budget(n, powers, V, V + pad)
         window, exact = _power_commutators(phi, powers, V), corner is not None
         if V > W:  # the W-corner of the tight corner
             window, exact = _corner(window, k, n * V, n * W)
@@ -393,7 +392,7 @@ def completion_selfadjoint_part(W: int):
     with a ValueError when its four W x W arrays (D, C, D + C and the
     result) would exceed MAX_WINDOW_BYTES.
     """
-    _refuse_completion_over_budget(W, 4)
+    _refuse(8 * 4 * W * W, f"completion window {W}")
     a = np.array([_alpha_formula(m) for m in range(1, W + 1)])
     B = np.diag(np.r_[0.0, a[:-1]])
     C = np.zeros((W, W))
@@ -404,35 +403,23 @@ def completion_selfadjoint_part(W: int):
     return B + C + C.T, C
 
 
-def _refuse_completion_over_budget(W, arrays):
-    """Raise ValueError when `arrays` real W x W arrays would exceed MAX_WINDOW_BYTES."""
-    nbytes = 8 * arrays * W * W
-    if nbytes > MAX_WINDOW_BYTES:
-        raise ValueError(f"completion window {W} needs about {nbytes / 2**30:.3g} GiB, "
-                         f"over the {MAX_WINDOW_BYTES / 2**30:.3g} GiB budget")
-
-
 def normal_nontoeplitz_completion(W: int):
-    """Assemble the normal non-Toeplitz completion on a window.
+    """The normal non-Toeplitz completion [[T_zbar, T_z + B], [T_z + B, T_zbar]] on a window.
 
-    Returns (T, residual): T is the 2x2 operator matrix window
-    [[T_zbar, T_z + B], [T_z + B, T_zbar]] and residual is the largest
-    entry of T_zbar B + B T_z - T_z B - B T_zbar over the interior
-    sub-window [0, W - 2*log2(W)), where windowing effects cannot reach.
-    Refused with a ValueError when the ten W x W arrays it holds at once
-    (B, the shift, T_z + B, the 2W x 2W T, three products) would exceed
-    MAX_WINDOW_BYTES.
+    Returns (residual, ||C||_2): residual is the largest entry of
+    T_zbar B + B T_z - T_z B - B T_zbar over the interior sub-window
+    [0, W - 2*log2(W)), where windowing effects cannot reach, and C is
+    the strictly upper part of B.  Refused with a ValueError when the six
+    W x W arrays it holds at once (B, C, the shift, three products) would
+    exceed MAX_WINDOW_BYTES.
     """
     if W < 8:
         raise ValueError("window must be >= 8")
-    _refuse_completion_over_budget(W, 10)
-    B, _ = completion_selfadjoint_part(W)
+    _refuse(8 * 6 * W * W, f"completion window {W}")
+    B, C = completion_selfadjoint_part(W)
     S = np.diag(np.ones(W - 1), -1)  # forward shift window
     St = S.T
-    E = S + B
-    T = np.block([[St, E], [E, St]])
     R = St @ B + B @ S - S @ B - B @ St
     margin = 2 * int(np.ceil(np.log2(W)))
     k = max(1, W - margin)
-    residual = float(np.max(np.abs(R[:k, :k])))
-    return WindowedOperator(W, 2, T, exact=False), residual
+    return float(np.max(np.abs(R[:k, :k]))), float(np.linalg.norm(C, 2))

@@ -16,7 +16,7 @@ it returns np.roots' output bit for bit, and solves degree 1, most of
 the calls, by the one division LAPACK makes for a 1 x 1 companion
 matrix.  `fourier_coeffs` runs its recurrence on Python complex numbers
 at a fraction of numpy scalars' cost per term; they multiply alike, and
-divide alike by an exact 1, so any other q(0) stays a numpy scalar.
+divide alike by the exact q(0) = 1 the constructor sets.
 """
 
 from __future__ import annotations
@@ -74,12 +74,9 @@ class RationalFn:
         if len(q) > 1 and len(p) > 1:
             p, q = _cancel_common_roots(p, q, 1e-9)
         # normalize: prefer q(0) = 1 so analytic quotients read off nicely
-        if abs(q[0]) > DROP_TOL:
-            scale = q[0]
-        else:
-            scale = q[-1]
-        self.num = p / scale
-        self.den = q / scale
+        k = 0 if abs(q[0]) > DROP_TOL else -1
+        self.num, self.den = p / q[k], q / q[k]
+        self.den[k] = 1  # exactly: x / x can round to 0.9999999999999999
 
     # -- basic structure ------------------------------------------------
     @property
@@ -181,7 +178,7 @@ class RationalFn:
             return self.poly_coeffs()
         rho = 1.0 / r
         p, q = self.num.tolist(), self.den.tolist()
-        lp, lq, q0 = len(p), len(q), q[0] if q[0] == 1 else self.den[0]
+        lp, lq, q0 = len(p), len(q), q[0]
         coeffs = []
         j = 0
         recent = 0.0
@@ -234,8 +231,6 @@ def _cancel_common_roots(p, q, tol):
     """Divide out numerator/denominator roots that agree within tol."""
     rp = list(_roots(p))
     rq = list(_roots(q))
-    lead_p = p[-1]
-    lead_q = q[-1]
     changed = False
     i = 0
     while i < len(rp):
@@ -252,10 +247,7 @@ def _cancel_common_roots(p, q, tol):
             i += 1
     if not changed:
         return p, q
-    return (
-        _trim(lead_p * np.poly(rp)[::-1] if rp else np.array([lead_p])),
-        _trim(lead_q * np.poly(rq)[::-1] if rq else np.array([lead_q])),
-    )
+    return poly_from_roots(rp, p[-1]), poly_from_roots(rq, q[-1])
 
 
 def poly_from_roots(roots, lead=1.0):

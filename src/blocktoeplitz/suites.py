@@ -79,7 +79,7 @@ def random_blaschke(rng, max_degree=5, rad=0.8):
         m = int(rng.integers(1, 3))
         m = min(m, d - sum(mm for _, mm in zeros))
         zeros.append((a, m))
-    return bl.BlaschkeProduct(1.0, zeros)
+    return bl.BlaschkeProduct(zeros)
 
 
 def random_analytic_poly_symbol(rng, n, deg):
@@ -139,8 +139,8 @@ def completion_grid():
     for case, (family, params, kwargs) in enumerate(grid):
         phi, psi = family_pair(family, **kwargs)
         v = dc.complete_ustar(phi, psi)
-        worst, vanishes = dc.commutator_max_entry(dc.double_conjugate_shift_symbol(phi, psi))
-        rows.append([case, family, params, f"{worst:.3e}", v.tag == "Normal" and vanishes])
+        figure, vanishes = dc.commutator_max_entry(dc.double_conjugate_shift_symbol(phi, psi))
+        rows.append([case, family, params, figure, v.tag == "Normal" and vanishes])
     return rows, all(row[-1] for row in rows)
 
 

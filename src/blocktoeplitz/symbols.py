@@ -4,8 +4,7 @@ A Symbol stores the coefficient matrices A_j of Phi(z) = sum_j A_j z^j
 as one dense array: `c[k]` is A_{lo+k}, trimmed so that c[0] and c[-1]
 are nonzero (the zero symbol has lo = 0 and no rows).  Arithmetic is
 Cauchy product / coefficientwise work on that array, with a global drop
-tolerance: a coefficient whose largest entry is at most DROP_TOL counts
-as zero.
+tolerance: every entry at most DROP_TOL counts as zero.
 
 Rational (non-polynomial) symbols enter as `RationalSymbol`: an n x n
 grid of (plus, minus) RationalFn pairs.  Their Fourier side, from
@@ -41,17 +40,18 @@ class Symbol:
         self._store(lo, c)
 
     def _store(self, lo, c):
-        """Keep c from its first to its last coefficient above DROP_TOL, zeroing those at or below it."""
-        mags = np.abs(c).max(axis=(1, 2))
-        if not np.isfinite(mags).all():
+        """Keep c from its first to its last coefficient with an entry above DROP_TOL, zeroing
+        every entry at or below it: each matrix entry is its own function."""
+        mags = np.abs(c)
+        if not np.isfinite(mags.max(initial=0.0)):
             raise ValueError("non-finite coefficient")
         keep = mags > DROP_TOL
-        nz = np.flatnonzero(keep)
+        nz = np.flatnonzero(keep.any(axis=(1, 2)))
         if not len(nz):
             self.lo, self.c = 0, np.zeros((0, self.n, self.n), dtype=complex)
             return
         a, b = nz[0], nz[-1] + 1
-        self.lo, self.c = lo + int(a), np.where(keep[a:b, None, None], c[a:b], 0)
+        self.lo, self.c = lo + int(a), np.where(keep[a:b], c[a:b], 0)
 
     # -- constructors -----------------------------------------------------
     @classmethod
@@ -223,11 +223,6 @@ def is_normal_symbol(phi: Symbol, tol=1e-9):
     return phi._normal_defect <= tol
 
 
-def _prune(v):
-    """Entries at or below DROP_TOL set to zero: each matrix entry is its own function."""
-    return np.where(np.abs(v) > DROP_TOL, v, 0)
-
-
 class RationalSymbol:
     """Matrix symbol with exact rational analytic/co-analytic parts.
 
@@ -244,7 +239,7 @@ class RationalSymbol:
     @classmethod
     def from_symbol(cls, phi: Symbol):
         n = phi.n
-        P, M = (_prune(s.coeffs(0, s.hi)) for s in phi.split())
+        P, M = (s.coeffs(0, s.hi) for s in phi.split())
         # minus[i][j] is conj of the co-analytic entry (i, j): the (j, i) entry of the split's minus
         return cls(n, [[RationalFn(P[:, i, j]) for j in range(n)] for i in range(n)],
                    [[RationalFn(M[:, j, i]) for j in range(n)] for i in range(n)])
@@ -256,8 +251,8 @@ class RationalSymbol:
         m = max(len(cm) for *_, cm in pairs)  # co-analytic degree
         c = np.zeros((m + max(len(cp) for _, _, cp, _ in pairs), n, n), dtype=complex)
         for i, j, cp, cm in pairs:
-            c[m : m + len(cp), i, j] = _prune(cp)
-            c[m - len(cm) : m, i, j] = _prune(cm[::-1].conj())
+            c[m : m + len(cp), i, j] = cp
+            c[m - len(cm) : m, i, j] = cm[::-1].conj()
         return Symbol.from_coeffs(-m, c)
 
     def is_analytic(self):

@@ -8,6 +8,7 @@ from math import comb
 
 import numpy as np
 
+from blocktoeplitz.blaschke import BlaschkeProduct
 from blocktoeplitz.operators import WindowedOperator, _hankel_view
 from blocktoeplitz.rational import RationalFn, _trim
 from blocktoeplitz.symbols import Symbol
@@ -28,6 +29,15 @@ def sup_norm(phi: Symbol, grid=None):
     t = 2 * np.pi * np.arange(grid) / grid
     vals = phi.eval_circle(t)
     return float(np.max(np.linalg.norm(vals, ord=2, axis=(1, 2))))
+
+
+def blaschke_values(theta: BlaschkeProduct, z):
+    """The product form prod ((z - a)/(1 - conj(a) z))^m of theta at z (scalar or array)."""
+    z = np.asarray(z, dtype=complex)
+    out = np.ones(z.shape, dtype=complex)
+    for a, m in theta.zeros:
+        out = out * ((z - a) / (1.0 - np.conj(a) * z)) ** m
+    return out if out.shape else complex(out)
 
 
 def hankel_window(phi: Symbol, W: int) -> WindowedOperator:

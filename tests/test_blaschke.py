@@ -11,6 +11,7 @@ from blocktoeplitz.blaschke import (
 )
 from blocktoeplitz.decide import _at_zeros
 from blocktoeplitz.rational import RationalFn
+from reference import blaschke_values
 
 
 def random_blaschke(rng, dmax=5):
@@ -24,14 +25,15 @@ def random_blaschke(rng, dmax=5):
         m = min(int(rng.integers(1, 3)), left)
         zeros.append((a, m))
         left -= m
-    return BlaschkeProduct(np.exp(1j * rng.random()), zeros)
+    rng.random()  # discarded: the draws after it keep their place in the seeded stream
+    return BlaschkeProduct(zeros)
 
 
 def test_eval_basic():
-    theta = BlaschkeProduct(1.0, [(0.0, 2)])
-    assert abs(theta(1j) - (-1.0)) < 1e-14
-    half = BlaschkeProduct(1.0, [(0.5, 1)])
-    assert abs(half(0.5)) < 1e-14
+    theta = BlaschkeProduct([(0.0, 2)])
+    assert abs(blaschke_values(theta, 1j) - (-1.0)) < 1e-14
+    half = BlaschkeProduct([(0.5, 1)])
+    assert abs(blaschke_values(half, 0.5)) < 1e-14
 
 
 def test_unimodular_on_circle():
@@ -39,17 +41,15 @@ def test_unimodular_on_circle():
     t = 2 * np.pi * np.arange(256) / 256
     for _ in range(6):
         theta = random_blaschke(rng)
-        vals = theta(np.exp(1j * t))
+        vals = blaschke_values(theta, np.exp(1j * t))
         np.testing.assert_allclose(np.abs(vals), 1.0, atol=1e-12)
 
 
 def test_rejects_bad_zero():
     with pytest.raises(ValueError):
-        BlaschkeProduct(1.0, [(1.2, 1)])
+        BlaschkeProduct([(1.2, 1)])
     with pytest.raises(ValueError):
-        BlaschkeProduct(1.0, [(complex("nan"), 1)])
-    with pytest.raises(ValueError):
-        BlaschkeProduct(2.0, [])
+        BlaschkeProduct([(complex("nan"), 1)])
 
 
 def common_degree(t1, t2):
@@ -58,12 +58,12 @@ def common_degree(t1, t2):
 
 
 def test_gcd_lcm_monomials():
-    z2 = BlaschkeProduct(1.0, [(0.0, 2)])
-    z3 = BlaschkeProduct(1.0, [(0.0, 3)])
+    z2 = BlaschkeProduct([(0.0, 2)])
+    z3 = BlaschkeProduct([(0.0, 3)])
     l = lcm(z2, z3)
     assert common_degree(z2, z3) == 2 and l.degree() == 3
     assert divides(z2, l) and divides(z3, l)
-    t1 = BlaschkeProduct(1.0, [(0.0, 1), (0.5, 1)])
+    t1 = BlaschkeProduct([(0.0, 1), (0.5, 1)])
     l = lcm(t1, z2)
     assert common_degree(t1, z2) == 1
     assert l.degree() == 3 and l.multiplicity_at(0.5) == 1 and l.multiplicity_at(0) == 2
@@ -85,18 +85,18 @@ def test_gcd_idempotent_and_product_identity():
 def test_lcm_keeps_the_first_center_of_near_coincident_zeros():
     a = 0.3 + 0.2j
     near = a + 0.3 * MATCH_TOL
-    t1 = BlaschkeProduct(1.0, [(a, 1), (0.5, 2)])
-    t2 = BlaschkeProduct(1.0, [(near, 2), (-0.4, 1)])
+    t1 = BlaschkeProduct([(a, 1), (0.5, 2)])
+    t2 = BlaschkeProduct([(near, 2), (-0.4, 1)])
     assert lcm(t1, t2).zeros == [(a, 2), (0.5, 2), (-0.4, 1)]
     assert lcm(t2, t1).zeros == [(near, 2), (-0.4, 1), (0.5, 2)]
     # a zero just outside the tolerance is a different zero
-    far = BlaschkeProduct(1.0, [(a + 2 * MATCH_TOL, 1)])
+    far = BlaschkeProduct([(a + 2 * MATCH_TOL, 1)])
     assert lcm(t1, far).zeros == [(a, 1), (0.5, 2), (a + 2 * MATCH_TOL, 1)]
 
 
 def test_divides():
-    z1 = BlaschkeProduct(1.0, [(0.0, 1)])
-    z2 = BlaschkeProduct(1.0, [(0.0, 2)])
+    z1 = BlaschkeProduct([(0.0, 1)])
+    z2 = BlaschkeProduct([(0.0, 2)])
     assert divides(z1, z2)
     assert not divides(z2, z1)
 
@@ -104,13 +104,13 @@ def test_divides():
 def test_degree_additivity():
     rng = np.random.default_rng(2)
     t1, t2 = random_blaschke(rng), random_blaschke(rng)
-    assert (t1 * t2).degree() == t1.degree() + t2.degree()
+    assert BlaschkeProduct(t1.zeros + t2.zeros).degree() == t1.degree() + t2.degree()
 
 
 def circle_identity_error(f, theta, b, grid=512):
     t = 2 * np.pi * np.arange(grid) / grid
     z = np.exp(1j * t)
-    return float(np.max(np.abs(theta(z) * np.conj(b(z)) - f(z))))
+    return float(np.max(np.abs(blaschke_values(theta, z) * np.conj(b(z)) - f(z))))
 
 
 def test_decompose_polynomial_part():
@@ -159,7 +159,7 @@ def test_decompose_reexpansion_reproduces_symbol():
     grid = 512
     t = 2 * np.pi * np.arange(grid) / grid
     z = np.exp(1j * t)
-    np.testing.assert_allclose(theta(z) * np.conj(b(z)), f(z), atol=1e-10)
+    np.testing.assert_allclose(blaschke_values(theta, z) * np.conj(b(z)), f(z), atol=1e-10)
 
 
 def test_coprime_check_identity_and_rank_deficient():
@@ -174,7 +174,7 @@ def test_coprime_check_identity_and_rank_deficient():
 def test_coprime_check_rational_grid():
     B = [[RationalFn([1.0]), RationalFn([0.0, 1.0])],
          [RationalFn([0.0]), RationalFn([1.0])]]
-    ok, _ = coprime_matrix_check(_at_zeros(B, BlaschkeProduct(1.0, [(0.0, 2)])))
+    ok, _ = coprime_matrix_check(_at_zeros(B, BlaschkeProduct([(0.0, 2)])))
     assert ok
 
 
@@ -205,7 +205,7 @@ def _decompose_by_roots(f):
     for g, m in clusters:
         for _ in range(m):
             bden = mul_ascending(bden, np.array([1.0, -np.conj(g)]))
-    return BlaschkeProduct(1.0, clusters), RationalFn(refl.num / refl.den[-1], bden)
+    return BlaschkeProduct(clusters), RationalFn(refl.num / refl.den[-1], bden)
 
 
 def test_polynomial_decomposition_matches_root_finding():
@@ -227,11 +227,12 @@ def test_as_rational_shift_matches_root_product():
         zs = [(0.0, int(rng.integers(1, 4)))]
         zs += [(complex(rng.normal(), rng.normal()) * 0.3, int(rng.integers(1, 3)))
                for _ in range(int(rng.integers(0, 3)))]
-        theta = BlaschkeProduct(np.exp(1j * rng.normal()), [zs[i] for i in rng.permutation(len(zs))])
+        rng.normal()  # discarded, as in `random_blaschke`
+        theta = BlaschkeProduct([zs[i] for i in rng.permutation(len(zs))])
         roots = theta.zero_list()
         den = np.array([1.0 + 0j])
         for a in roots:
             den = mul_ascending(den, np.array([1.0, -np.conj(a)]))
-        want = RationalFn(poly_from_roots(roots, lead=theta.unimodular), den)
+        want = RationalFn(poly_from_roots(roots), den)
         got = theta.as_rational()
         assert np.array_equal(got.num, want.num) and np.array_equal(got.den, want.den)

@@ -195,6 +195,16 @@ def test_export_completion_residual(capsys):
     assert all(b <= r + 1e-12 for r, b in zip(residuals, residuals[1:]))
 
 
+def test_export_completion_residual_builds_each_window_once(monkeypatch, capsys):
+    from blocktoeplitz import operators as op
+
+    built = []
+    part = op.completion_selfadjoint_part
+    monkeypatch.setattr(op, "completion_selfadjoint_part", lambda W: built.append(W) or part(W))
+    assert main(["export", "completion-residual", "--windows", "8,16"]) == 0
+    assert built == [8, 16]
+
+
 def test_suite_reproducible_bytes(tmp_path):
     f1 = tmp_path / "a.csv"
     f2 = tmp_path / "b.csv"

@@ -17,7 +17,7 @@ from blocktoeplitz.decide import (
 )
 from blocktoeplitz.rational import RationalFn
 from blocktoeplitz.symbols import Symbol, RationalSymbol
-from reference import kernel_inclusion_holds, sup_norm
+from reference import blaschke_values, kernel_inclusion_holds, sup_norm
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 E11 = np.array([[1, 0], [0, 0]], dtype=complex)
@@ -46,10 +46,10 @@ def test_factorize_reconstructs_parts_on_circle():
         for j in range(2):
             # Phi_plus = theta I A*: entry (i,j) = theta * conj(A[j][i])
             lhs = plus.eval_circle(t)[:, i, j]
-            rhs = tf(z) * np.conj(f.A[j][i](z))
+            rhs = blaschke_values(tf, z) * np.conj(f.A[j][i](z))
             np.testing.assert_allclose(lhs, rhs, atol=1e-10)
             lhs = minus.eval_circle(t)[:, i, j]
-            rhs = f.theta1(z) * np.conj(f.B[j][i](z))
+            rhs = blaschke_values(f.theta1, z) * np.conj(f.B[j][i](z))
             np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
 
@@ -220,6 +220,17 @@ def test_completions_refuse_matrix_entries():
 def test_complete_ustar_family_grid():
     rows, ok = suites.completion_grid()
     assert ok
+
+
+def test_vanishing_commutator_prints_the_cutoff():
+    # below NORMAL_TOL the largest commutator entry is rounding noise (4.443e-16 here), so the
+    # family note and the grid rows print the cutoff, and no summation order can change them
+    phi, psi = suites.family_pair(1, theta=0.0, omega=np.pi / 3, beta=1 + 1j)
+    v = complete_ustar(phi, psi)
+    assert v.tag == "Normal" and v.notes == ["family 1 parameters; commutator max entry <= 1.000e-09"]
+    rows, ok = suites.completion_grid()
+    assert ok and {row[3] for row in rows} == {"<= 1.000e-09"}
+    assert any("beta=(1+1j)" in row[2] for row in rows)
 
 
 def test_normality_cutoff_has_one_owner(monkeypatch):

@@ -25,7 +25,7 @@ def random_blaschke(rng, dmax=5):
         m = min(int(rng.integers(1, 3)), left)
         zeros.append((a, m))
         left -= m
-    return BlaschkeProduct(1.0, zeros)
+    return BlaschkeProduct(zeros)
 
 
 def gram_on_grid(funcs, grid=1024):
@@ -36,15 +36,15 @@ def gram_on_grid(funcs, grid=1024):
 
 
 def test_tm_basis_monomials():
-    basis = tm_basis(BlaschkeProduct(1.0, [(0.0, 1)]))
+    basis = tm_basis(BlaschkeProduct([(0.0, 1)]))
     z = np.array([0.3 + 0.1j, -0.5j])
     np.testing.assert_allclose(basis[0](z), np.ones(2), atol=1e-14)
-    basis = tm_basis(BlaschkeProduct(1.0, [(0.0, 2)]))
+    basis = tm_basis(BlaschkeProduct([(0.0, 2)]))
     np.testing.assert_allclose(basis[1](z), z, atol=1e-14)
 
 
 def test_tm_basis_orthonormal():
-    theta = BlaschkeProduct(1.0, [(0.5, 2)])
+    theta = BlaschkeProduct([(0.5, 2)])
     G = gram_on_grid(tm_basis(theta))
     np.testing.assert_allclose(G, np.eye(2), atol=1e-8)
     rng = np.random.default_rng(0)
@@ -90,7 +90,7 @@ def test_poly_of_M_examples():
 
 
 def test_compression_oracle_examples():
-    theta = BlaschkeProduct(1.0, [(0.0, 2)])
+    theta = BlaschkeProduct([(0.0, 2)])
     C = compression_oracle(Symbol.scalar({1: 1.0}), theta)
     np.testing.assert_allclose(C, [[0, 0], [1, 0]], atol=1e-10)
     c = 1.3 - 0.2j

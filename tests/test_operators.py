@@ -220,12 +220,12 @@ def test_witness_rotation_ignores_rounding_between_tied_entries():
 
 
 def test_completion_construction():
-    T, res = normal_nontoeplitz_completion(64)
+    res, norm = normal_nontoeplitz_completion(64)
     assert res <= 1e-6
-    _, res128 = normal_nontoeplitz_completion(128)
+    res128, _ = normal_nontoeplitz_completion(128)
     assert res128 <= res + 1e-12
     B, C = completion_selfadjoint_part(64)
-    assert np.linalg.norm(C, 2) <= 2.0
+    assert norm == np.linalg.norm(C, 2) <= 2.0
     S = np.diag(np.ones(63), -1)
     assert not is_constant_diagonal(S + B)
     assert is_constant_diagonal(S)

@@ -121,15 +121,25 @@ def _pole_family(m):
 
 def test_fourier_coeffs_matches_reference_recurrence():
     # the recurrence on Python scalars emits numpy's bytes, on every entry of the classifier draws
-    # and of the repeated-pole family, and on a denominator normalized to 0.9999999999999999
+    # and of the repeated-pole family, and on a denominator whose q(0) / q(0) rounds to 0.9999999999999999
     symbols = [suites.random_coprime_rational_symbol(np.random.default_rng([4, i])) for i in range(100)]
     symbols += [_pole_family(m) for m in range(1, 6)]
     fns = [f for R in symbols for side in (R.plus, R.minus) for row in side for f in row]
     inexact = RationalFn([1.0, 2.0, 0.5j], [49.0, -1.0])
-    assert inexact.den[0] != 1
+    assert inexact.den[0] == 1
     for f in fns + [inexact]:
         assert _same(f.fourier_coeffs(TAIL_TOL), fourier_coeffs(f, TAIL_TOL))
     assert sum(not f.is_poly for f in fns) > 100
+
+
+def test_denominator_normalized_to_exactly_one():
+    # q / q(0) alone leaves 0.9999999999999999 for some q(0); the constructor sets the exact 1
+    rng = np.random.default_rng(29)
+    for _ in range(500):
+        q = rng.normal(size=3) + 1j * rng.normal(size=3) * rng.integers(0, 2)
+        assert RationalFn([1.0, 2.0], q).den[0] == 1
+        assert RationalFn([1.0], np.r_[0.0, q]).den[-1] == 1
+    assert RationalFn([1], [49, -1]).den[0] == 1
 
 
 def test_fourier_rejects_interior_pole():

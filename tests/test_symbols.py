@@ -182,6 +182,16 @@ def test_pruning_and_support():
     assert Symbol.scalar({-1: 1e-13, 4: 1e-14}).support() == []
 
 
+def test_pruning_is_entrywise():
+    # each matrix entry is its own function: 1e-13 next to a 1 reads 0, on every route
+    A = np.array([[1.0, 1e-13], [0.0, 2.0]])
+    for phi in (Symbol(2, {-1: A, 1: A}), Symbol.from_coeffs(-1, [A, 0 * A, A]),
+                Symbol(2, {-1: np.eye(2), 1: np.eye(2)}) * Symbol(2, {0: A})):
+        assert phi.coeff(1)[0, 1] == 0 and phi.coeff(-1)[0, 1] == 0 and phi.coeff(1)[0, 0] == 1
+        R = RationalSymbol.from_symbol(phi)
+        assert R.plus[0][1].is_zero(0.0) and R.minus[1][0].is_zero(0.0)
+
+
 def test_dense_algebra_matches_coefficient_reference():
     rng = np.random.default_rng(11)
     for _ in range(5):
